@@ -363,6 +363,16 @@ def _contrast_config(built, anchor):
 # wiring
 # ---------------------------------------------------------------------------
 
+_FLAGS = {
+    "--scenario": dict(default=None, help="path to a scenario JSON document"),
+    "--simulate": dict(action="store_true",
+                       help="attach Monte-Carlo trials to the report"),
+    "--trials": dict(type=int, default=None,
+                     help="override the scenario's trial count"),
+    "--seed": dict(type=int, default=None, help="override the scenario's seed"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="dfs-sense",
@@ -370,46 +380,30 @@ def build_parser() -> argparse.ArgumentParser:
                     "precision analysis for distributed field sensing.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_scenario=True):
-        p.add_argument("--scenario", default=None,
-                       help="path to a scenario JSON document"
-                            + ("" if needs_scenario else " (unused)"))
-        p.add_argument("--simulate", action="store_true",
-                       help="attach Monte-Carlo trials to the report")
-        p.add_argument("--trials", type=int, default=None,
-                       help="override the scenario's trial count")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the scenario's seed")
+    def command(name, func, help, *flags):
+        """A subcommand taking only the flags it reads, plus --out/--format."""
+        p = sub.add_parser(name, help=help)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
         p.add_argument("--out", default=None, help="write output to a file")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("spectrum", help="protected configurations and the "
-                                        "effective level ladder")
-    common(p)
-    p.set_defaults(func=cmd_spectrum)
-
-    p = sub.add_parser("table1", help="placement family scaling table")
-    common(p, needs_scenario=False)
+    command("spectrum", cmd_spectrum, "protected configurations and the "
+            "effective level ladder", "--scenario")
+    p = command("table1", cmd_table1, "placement family scaling table")
     p.add_argument("--sizes", default=None,
                    help="comma-separated even N values (default 4..16)")
-    p.set_defaults(func=cmd_table1)
-
-    p = sub.add_parser("protocol", help="plan a protocol and report "
-                                        "predicted precision")
-    common(p)
-    p.set_defaults(func=cmd_protocol)
-
-    p = sub.add_parser("sweep", help="tabulate precision along one axis")
-    common(p)
+    command("protocol", cmd_protocol, "plan a protocol and report predicted "
+            "precision", "--scenario", "--simulate", "--trials", "--seed")
+    p = command("sweep", cmd_sweep, "tabulate precision along one axis",
+                "--scenario")
     p.add_argument("--axis", required=True, choices=("t", "L", "Delta", "N"))
     p.add_argument("--grid", required=True, type=_grid,
                    help="start:stop:count")
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("dfs-check", help="verify coherence protection "
-                                         "against the noise model")
-    common(p)
-    p.set_defaults(func=cmd_dfs_check)
+    command("dfs-check", cmd_dfs_check, "verify coherence protection against "
+            "the noise model", "--scenario", "--trials", "--seed")
     return ap
 
 

@@ -35,7 +35,7 @@ class Tolerances:
     average_atol: float = 1e-12     # realized time-average vs target spin
 
     # canonical phase measurement
-    phase_grid_bits: int = 14       # inverse-CDF grid has 2**phase_grid_bits points
+    phase_grid_bits: int = 14       # floor: the grid has at least 2**phase_grid_bits points
 
     # regime classification (asymptotic "much less/greater" conditions need
     # concrete cutoffs; these thresholds are configuration, not physics)

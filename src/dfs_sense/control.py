@@ -17,18 +17,9 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import Degenerate, NoSignalComponent, TooLarge, Unreachable
-from .fields import (NoiseModel, SensorArray, SpatialField, _as_vector,
-                     dfs_condition, effective_signal_gap)
-
-Number = float | int | Fraction
-
-
-def _exactable(*values) -> bool:
-    return all(isinstance(v, (int, Fraction)) for v in values)
-
-
-def _exact(v: Number) -> Fraction:
-    return v if isinstance(v, Fraction) else Fraction(v)
+from .fields import (Number, NoiseModel, SensorArray, SpatialField,
+                     _as_vector, _exact, _exactable, dfs_condition,
+                     effective_signal_gap)
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,15 @@ from .errors import NoSignalComponent, NumericFailure
 Number = float | int | Fraction
 
 
+def _exactable(*values) -> bool:
+    """True when every value is an int or Fraction, so arithmetic can stay exact."""
+    return all(isinstance(v, (int, Fraction)) for v in values)
+
+
+def _exact(v: Number) -> Fraction:
+    return v if isinstance(v, Fraction) else Fraction(v)
+
+
 def _as_vector(x) -> np.ndarray:
     """Coerce SpatialField / SpinConfig / sequence to a float vector."""
     values = getattr(x, "values", None)

@@ -20,11 +20,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bayes import (CanonicalSampler, FlatPrior, ProbeState, empirical_holevo,
-                    wrap_pi)
+from .bayes import (CanonicalSampler, FlatPrior, ProbeState, _coherence_sums,
+                    _fourier_grid, empirical_holevo, wrap_pi)
 from .config import DEFAULT_TOLERANCES, Tolerances, worker_count
 from .control import EffectiveSpectrum
-from .errors import InsufficientTime
+from .errors import InsufficientTime, NumericFailure
 
 _CHUNK = 4096
 _MASK64 = (1 << 64) - 1
@@ -321,40 +321,28 @@ def run_estimation_trials(probe_or_rho, spectrum: EffectiveSpectrum,
 
 
 def _posterior_mean_table(probe_or_rho, gap: float, prior_mean: float,
-                          prior_width: float, t: float, grid_bits: int
-                          ) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior mean of omega given a canonical outcome, tabulated on theta.
+                          prior_width: float, t: float, n: int) -> np.ndarray:
+    """Posterior mean of omega given a canonical outcome theta_k = 2 pi k / n.
 
     With outcome density p(theta|omega) = p0(theta - omega t g) and
     p0(theta) = (1/2pi) sum_d R_d e^{i d theta} (R_d the d-th coherence
     diagonal), Gaussian integrals over omega are exact per harmonic:
       denominator  D(theta) = sum_d R_d e^{i d theta} C(d)
       numerator    N(theta) = sum_d R_d e^{i d theta} (mu - i d t g W^2) C(d)
-    with C(d) = exp(-i d t g mu - (d t g W)^2 / 2), so the posterior mean
-    N/D costs O(L) per grid point.
+    with C(d) = exp(-i d t g mu - (d t g W)^2 / 2); both series are
+    evaluated on the grid by FFT.
     """
-    x = np.asarray(probe_or_rho, dtype=complex)
-    rho = np.outer(x, x.conj()) if x.ndim == 1 else x
-    L = rho.shape[0]
-    n = 1 << grid_bits
-    thetas = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+    r = _coherence_sums(probe_or_rho)
+    d = np.arange(len(r))
     tg = t * gap
-    den = np.full(n, np.trace(rho).real, dtype=complex)
-    num = den * prior_mean
-    for d in range(1, L):
-        rd = np.trace(rho, offset=-d)  # sum_n rho[n+d, n]
-        if rd == 0:
-            continue
-        c = np.exp(-1j * d * tg * prior_mean
-                   - 0.5 * (d * tg * prior_width) ** 2)
-        phase = np.exp(1j * d * thetas)
-        den += 2.0 * (rd * c * phase).real
-        coef = rd * c * (prior_mean - 1j * d * tg * prior_width ** 2)
-        num += 2.0 * (coef * phase).real
-    den_r = den.real
-    if np.any(den_r <= 0):
-        raise ValueError("posterior normalization not positive on the grid")
-    return thetas, num.real / den_r
+    a = r * np.exp(-1j * d * tg * prior_mean - 0.5 * (d * tg * prior_width) ** 2)
+    den = _fourier_grid(a, n)
+    num = _fourier_grid(a * (prior_mean - 1j * d * tg * prior_width ** 2), n)
+    # round-off floor 1e-12 sum|a_d|: FFT round-off in D stays below 1e-14
+    # sum|a_d| on every grid used, so a smaller margin is noise, not density
+    if den.min() <= 1e-12 * np.abs(a).sum():
+        raise NumericFailure("posterior normalization not above its round-off floor")
+    return num / den
 
 
 def simulate_fixed_time(probe_or_rho, spectrum: EffectiveSpectrum,
@@ -376,11 +364,10 @@ def simulate_fixed_time(probe_or_rho, spectrum: EffectiveSpectrum,
     raw = probe_or_rho.vector if isinstance(probe_or_rho, ProbeState) else probe_or_rho
     sampler = _base_sampler(raw, tolerances)
     tg = t * g
-    thetas, omega_hat = _posterior_mean_table(raw, g, prior_mean,
-                                              prior_width, t,
-                                              tolerances.phase_grid_bits)
+    omega_hat = _posterior_mean_table(raw, g, prior_mean, prior_width, t,
+                                      len(sampler.thetas))
     # periodic interpolation table: append the wrap point
-    knots = np.concatenate((thetas, [2.0 * np.pi]))
+    knots = np.concatenate((sampler.thetas, [2.0 * np.pi]))
     table = np.concatenate((omega_hat, [omega_hat[0]]))
 
     def chunk_fn(rng, size):

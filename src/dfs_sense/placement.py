@@ -30,9 +30,8 @@ import numpy as np
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .control import EffectiveSpectrum, SpinConfig
 from .errors import TooLarge, Unreachable
-from .fields import NoiseModel, SensorArray, SpatialField
-
-Number = float | int | Fraction
+from .fields import (Number, NoiseModel, SensorArray, SpatialField, _exact,
+                     _exactable)
 
 
 @dataclass(frozen=True)
@@ -273,7 +272,7 @@ def arbitrary_linear_placement(profile: Callable[[float], float],
     _even(N)
     if float(a) == 0.0:
         raise ValueError("a must be nonzero")
-    exact = all(isinstance(v, (int, Fraction)) for v in (a, b))
+    exact = _exactable(a, b)
     fvals: list[Number] = []
     for j in range(1, N + 1):
         step = Fraction(2 * j - 1 - N, 2 * (N - 1))
@@ -318,9 +317,9 @@ def arbitrary_exponential_placement(profile: Callable[[float], float],
         raise TooLarge("pair patterns beyond N = 48 are not explicitly representable")
     if float(f_max) <= float(f_min):
         raise ValueError("f_max must exceed f_min")
-    exact = all(isinstance(v, (int, Fraction)) for v in (f_max, f_min))
+    exact = _exactable(f_max, f_min)
     if exact:
-        f_max, f_min = Fraction(f_max), Fraction(f_min)
+        f_max, f_min = _exact(f_max), _exact(f_min)
     a = f_max - f_min
     half = N // 2
     f_hi: list[Number] = []

@@ -15,6 +15,8 @@ from dfs_sense import (AveragedState, CanonicalSampler, Degenerate,
                        empirical_holevo, evolve, ghz_probe, holevo_variance,
                        qfi_mixed, qfi_pure, uniform_probe, variance_reduction,
                        wrap_pi)
+from dfs_sense.bayes import _coherence_sums, _fourier_grid, _phase_grid_size
+from dfs_sense.config import DEFAULT_TOLERANCES
 
 
 def _linear(L, delta=1.0):
@@ -284,6 +286,23 @@ def test_canonical_density_rho_matches_pure():
     assert total == pytest.approx(1.0, abs=1e-10)
 
 
+@pytest.mark.parametrize("mixed", [False, True])
+@pytest.mark.parametrize("L", [1, 2, 7, 300])
+def test_fourier_grid_matches_dense_sum(L, mixed):
+    rng = np.random.default_rng(L)
+    a = rng.normal(size=(L, 3)) + 1j * rng.normal(size=(L, 3))
+    if mixed:
+        x = rho = a @ a.conj().T / np.sum(np.abs(a) ** 2)
+    else:
+        x = a[:, 0] / np.linalg.norm(a[:, 0])
+        rho = np.outer(x, x.conj())
+    n = _phase_grid_size(L, DEFAULT_TOLERANCES)
+    e = np.exp(1j * np.outer(np.arange(n) * 2 * np.pi / n, np.arange(L)))
+    dense = np.sum((e @ rho) * e.conj(), axis=1).real  # sum_{m,k} rho_mk e^{i(m-k)theta}
+    grid = _fourier_grid(_coherence_sums(x), n)
+    assert np.max(np.abs(grid - dense)) <= 1e-12 * np.max(dense)
+
+
 def test_sampler_matches_density():
     """Chi-square style binned comparison, 10^6 draws, 5 sigma per bin."""
     v = berry_wiseman_probe(7).vector
@@ -346,12 +365,23 @@ def test_holevo_uniform_decreases_with_L():
 
 def test_holevo_from_samples_matches_analytic():
     rng = np.random.default_rng(42)
-    for L in (2, 5, 10, 31):
+    for L in (2, 5, 10, 31, 2048, 4096, 8192):
         v = berry_wiseman_probe(L).vector
         draws = CanonicalSampler(v).sample(rng, 1_000_000)
         emp, se = empirical_holevo(draws)
         ana = holevo_variance(v)
         assert abs(emp - ana) < 3.0 * se, f"L={L}: {emp} vs {ana} (se {se})"
+
+
+@pytest.mark.parametrize("L", [2048, 4096, 8192])
+def test_sampler_draws_holevo_exact_expectation(L):
+    """Draws are uniform within each CDF cell, so E[e^{i theta}] is exact."""
+    s = CanonicalSampler(berry_wiseman_probe(L).vector)
+    mass, left = np.diff(s._cdf), s._knots[:-1]
+    h = s._knots[1] - s._knots[0]
+    z = np.sum(mass * np.exp(1j * left)) * (np.exp(1j * h) - 1) / (1j * h)
+    rel = (1 / abs(z) ** 2 - 1) / math.tan(math.pi / (L + 1)) ** 2 - 1
+    assert abs(rel) < 0.01, f"L={L}: {rel:+.2%}"
 
 
 def test_empirical_holevo_centering():

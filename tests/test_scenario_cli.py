@@ -292,6 +292,26 @@ def test_cli_exit_4_numeric(tmp_path, capsys, monkeypatch):
     assert "numeric failure" in capsys.readouterr().err
 
 
+def test_cli_exit_4_posterior_floor(tmp_path, capsys):
+    # extremal probe at t = 1e-9: the posterior normalization 1 - |C(3)|
+    # rounds to zero, a numeric failure and not an infeasible request
+    doc = _base_doc(array={"placement": "exponential", "N": 4},
+                    protocol={"kind": "fixed_time", "t": 1e-9},
+                    prior={"kind": "gaussian", "width": 0.5})
+    rc = cli.main(["protocol", "--scenario", _write(tmp_path, doc),
+                   "--simulate"])
+    assert rc == 4
+    assert "numeric failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["table1", "--simulate"],
+                                  ["spectrum", "--trials", "5"]])
+def test_cli_rejects_flags_the_command_ignores(argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+
+
 def test_cli_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         cli.main(["sweep", "--axis", "q", "--grid", "1:2:3"])
@@ -379,12 +399,22 @@ def test_cli_dfs_check_requires_noise(tmp_path, capsys):
     assert rc == 3
 
 
-def test_console_script_entry_point():
+def test_console_script_entry_point(capsys):
     import shutil
     import subprocess
     exe = shutil.which("dfs-sense")
     if exe is None:
-        pytest.skip("console script not on PATH")
+        # not installed: call the entry point pyproject.toml declares
+        import importlib
+        from pathlib import Path
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        target = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+        module, func = target["dfs-sense"].split(":")
+        main = getattr(importlib.import_module(module), func)
+        assert main(["table1", "--sizes", "4"]) == 0
+        assert "two_point" in capsys.readouterr().out
+        return
     out = subprocess.run([exe, "table1", "--sizes", "4"],
                          capture_output=True, text=True, timeout=60)
     assert out.returncode == 0
