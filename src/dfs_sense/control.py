@@ -8,7 +8,6 @@ rationals whenever the inputs are rational.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -17,9 +16,8 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import Degenerate, NoSignalComponent, TooLarge, Unreachable
-from .fields import (Number, NoiseModel, SensorArray, SpatialField,
-                     _as_vector, _exact, _exactable, dfs_condition,
-                     effective_signal_gap)
+from .fields import (Number, NoiseModel, SensorArray, SpatialField, _exact,
+                     _exactable, effective_signal_gap)
 
 
 @dataclass(frozen=True)
@@ -255,14 +253,28 @@ def sign_matched_anchor(array: SensorArray, f_perp: SpatialField) -> SpinConfig:
     return SpinConfig(tuple(vals))
 
 
+def _reachable_sums(options: Sequence[Sequence[tuple[Number, Number]]]) -> dict:
+    """Map each reachable total key to its set of total values; options[j]
+    lists site j's (key, value) steps, summed site by site (subset-sum DP)."""
+    sums = {0: {0}}
+    for steps in options:
+        nxt: dict = {}
+        for key, values in sums.items():
+            for dk, dv in steps:
+                nxt.setdefault(key + dk, set()).update(v + dv for v in values)
+        sums = nxt
+    return sums
+
+
 def enumerate_dfs_configs(array: SensorArray, noise: NoiseModel,
                           anchor: SpinConfig | None = None,
                           f_perp: SpatialField | None = None,
                           tolerances: Tolerances = DEFAULT_TOLERANCES) -> list[SpinConfig]:
     """All physical spin configurations coherent with the anchor.
 
-    Enumerates the full product ladder (guarded) and keeps configurations c
-    with every f_k . (c - anchor) = 0. With no anchor given, the extremal
+    Sums f_k . (c - anchor) and |c - anchor|^2 site by site over the full
+    product ladder (guarded) as arrays, and keeps every configuration c that
+    dfs_condition accepts. With no anchor given, the extremal
     sign-matched configuration along f_perp is used. Output sorted by
     effective_signal_gap to the anchor when f_perp is available, else
     lexicographically.
@@ -277,11 +289,17 @@ def enumerate_dfs_configs(array: SensorArray, noise: NoiseModel,
         anchor = sign_matched_anchor(array, f_perp)
 
     ladders = [array.site_spin_values(j) for j in range(array.J)]
-    out = []
-    for combo in itertools.product(*ladders):
-        c = SpinConfig(combo)
-        if dfs_condition(c, anchor, noise, tolerances):
-            out.append(c)
+    steps = [np.asarray(lad, dtype=float) - float(a)
+             for lad, a in zip(ladders, anchor.s, strict=True)]
+    # summing the open grids of np.ix_ broadcasts one site at a time; axis j
+    # indexes site j's ladder, so C order is itertools.product order
+    nds = np.sqrt(sum(np.ix_(*(d * d for d in steps))))
+    keep = np.ones(nds.shape, dtype=bool)
+    for f in noise.noise_fields:
+        proj = sum(np.ix_(*(fj * d for fj, d in zip(f.vector, steps, strict=True))))
+        keep &= np.abs(proj) <= tolerances.orthogonality_rtol * np.linalg.norm(f.vector) * nds
+    out = [SpinConfig(tuple(lad[i] for lad, i in zip(ladders, row)))
+           for row in zip(*(p.tolist() for p in np.nonzero(keep)))]
     if f_perp is not None:
         out.sort(key=lambda c: (effective_signal_gap(c, anchor, f_perp),
                                 tuple(float(v) for v in c.s)))

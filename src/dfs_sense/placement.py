@@ -15,12 +15,12 @@ N/2, and the linear row counts gaps Delta/delta rather than distinct
 values. Plans therefore carry both the conventional numbers
 (``table_range``, ``table_level_count``) and the enumeration-consistent
 prediction (``predicted_*``, with qubits contributing +-1/2), which
-brute-force enumeration reproduces exactly.
+exact enumeration reproduces.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
-from .control import EffectiveSpectrum, SpinConfig
+from .control import EffectiveSpectrum, _reachable_sums
 from .errors import TooLarge, Unreachable
 from .fields import (Number, NoiseModel, SensorArray, SpatialField, _exact,
                      _exactable)
@@ -89,44 +89,26 @@ class PlacementPlan:
 
     def enumerate_levels(self, tolerances: Tolerances = DEFAULT_TOLERANCES
                          ) -> tuple[Number, ...]:
-        """Brute-force the level set over the plan's protected domain.
+        """The exact level set over the plan's protected domain.
 
-        Pair-based families (``pairing`` set) enumerate the pair-sign
-        patterns; site-ladder families enumerate the zero-total-spin sector
-        of the full product ladder, which is the uniform-noise protected
-        sector around the extremal anchor.
+        Pair-based families (``pairing`` set) reach the pair-sign patterns,
+        site-ladder families the zero-total-spin sector of the product ladder
+        (the uniform-noise protected sector around the extremal anchor); one
+        subset-sum pass over the sites, guarded by the product's size.
         """
         if self.pairing is not None:
-            halves = []
-            for a, b in self.pairing:
-                halves.append((self.signal_values[a] - self.signal_values[b]) / 2)
-            if len(halves) > 24:
-                raise TooLarge("more than 2^24 pair patterns")
-            levels = set()
-            for signs in itertools.product((+1, -1), repeat=len(halves)):
-                levels.add(sum(sg * h for sg, h in zip(signs, halves)))
-            return tuple(sorted(levels, key=float))
-
-        arr = self.as_sensor_array()
-        if arr.total_configurations > tolerances.enumeration_guard:
-            raise TooLarge("site ladder too large to enumerate")
-        if all(q == 2 for q in arr.quanta_per_site):
-            # qubit fast path: pick the up half, level = sum(f_up) - S/2
-            J = arr.J
-            if J % 2 != 0:
-                return ()
-            total = sum(self.signal_values)
-            levels = set()
-            for up in itertools.combinations(range(J), J // 2):
-                levels.add(sum(self.signal_values[j] for j in up) - total / 2)
-            return tuple(sorted(levels, key=float))
-        ladders = [arr.site_spin_values(j) for j in range(arr.J)]
-        levels = set()
-        for combo in itertools.product(*ladders):
-            if sum(combo) != 0:    # uniform-noise protected sector
-                continue
-            levels.add(sum(f * s for f, s in zip(self.signal_values, combo)))
-        return tuple(sorted(levels, key=float))
+            halves = [(self.signal_values[a] - self.signal_values[b]) / 2
+                      for a, b in self.pairing]
+            options = [((0, h), (0, -h)) for h in halves]
+        else:
+            arr = self.as_sensor_array()
+            options = [tuple((s, f * s) for s in arr.site_spin_values(j))
+                       for j, f in enumerate(self.signal_values)]
+        size = math.prod(len(steps) for steps in options)
+        if size > tolerances.enumeration_guard:
+            raise TooLarge(f"{size} configurations exceed the guard {tolerances.enumeration_guard}")
+        levels = _reachable_sums(options).get(0)
+        return EffectiveSpectrum.from_levels(levels, tolerances=tolerances).levels if levels else ()
 
 
 def _even(N: int) -> None:

@@ -1,5 +1,7 @@
 """Flip schedules, effective spectra, ladders, and spectrum shaping."""
 
+import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -8,10 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dfs_sense import (Degenerate, EffectiveSpectrum, NoiseModel, SensorArray,
-                       SpatialField, SpinConfig, Unreachable, dfs_condition,
+                       SpatialField, SpinConfig, TooLarge, Tolerances,
+                       Unreachable, dfs_condition, effective_signal_gap,
                        enumerate_dfs_configs, equalize_multidim,
-                       flip_schedule_for, ladder_probe, shape_spectrum,
-                       sign_matched_anchor)
+                       exponential_placement, flip_schedule_for, ladder_probe,
+                       linear_placement, shape_spectrum, sign_matched_anchor)
 
 
 # ---------------------------------------------------------------- schedules
@@ -132,9 +135,67 @@ def test_enumerate_guard_and_anchor_default():
     anchor = sign_matched_anchor(arr, f)
     assert anchor == SpinConfig((Fraction(1, 2), Fraction(-1, 2)))
     assert out[-1] == anchor
-    from dfs_sense import effective_signal_gap
     gaps = [effective_signal_gap(c, anchor, f) for c in out]
     assert gaps == sorted(gaps) and gaps[-1] == 0.0
+    # the guard bounds the size of the product each enumeration walks
+    tight = Tolerances().with_(enumeration_guard=3)
+    with pytest.raises(TooLarge):
+        enumerate_dfs_configs(arr, noise, f_perp=f, tolerances=tight)
+    with pytest.raises(TooLarge):
+        linear_placement(6).enumerate_levels(tight)          # 2^6 configurations
+    with pytest.raises(TooLarge):
+        exponential_placement(6).enumerate_levels(          # 2^3 pair patterns
+            Tolerances().with_(enumeration_guard=4))
+    assert len(exponential_placement(6).enumerate_levels(
+        Tolerances().with_(enumeration_guard=8))) == 8
+    with pytest.raises(ValueError):   # one anchor value per site
+        enumerate_dfs_configs(arr, noise, anchor=SpinConfig((0.5, 0.5, 0.5)))
+
+
+def _brute_force_dfs(array, noise, anchor, f_perp):
+    """Reference: filter the product ladder one configuration at a time."""
+    out = [SpinConfig(combo) for combo in itertools.product(
+        *(array.site_spin_values(j) for j in range(array.J)))
+        if dfs_condition(SpinConfig(combo), anchor, noise)]
+    if f_perp is not None:
+        out.sort(key=lambda c: (effective_signal_gap(c, anchor, f_perp),
+                                tuple(float(v) for v in c.s)))
+    else:
+        out.sort(key=lambda c: tuple(float(v) for v in c.s))
+    return out
+
+
+def test_enumerate_matches_brute_force_filter():
+    # qutrits and ququarts, up to two noise fields, and the output order
+    rng = np.random.default_rng(2024)
+    kept = 0
+    for J in range(2, 10):
+        for K in (0, 1, 2):
+            quanta = tuple(rng.choice((2, 3, 4), size=J).tolist())
+            while math.prod(quanta) > 2048:
+                quanta = tuple(rng.choice((2, 3, 4), size=J).tolist())
+            arr = SensorArray(tuple(range(J)), quanta)
+            while True:  # constant, random and gradient profiles, independent
+                profiles = [np.ones(J), rng.choice((-2.0, -1.0, 1.0, 2.0), size=J),
+                            np.arange(J) - (J - 1) / 2]
+                rng.shuffle(profiles)
+                try:
+                    noise = NoiseModel(tuple(SpatialField(tuple(profiles[k]),
+                                                          label=f"noise:{k}")
+                                             for k in range(K)))
+                    break
+                except ValueError:
+                    continue
+            f_perp = SpatialField(tuple(rng.normal(size=J)))
+            got = enumerate_dfs_configs(arr, noise, f_perp=f_perp)
+            assert got == _brute_force_dfs(arr, noise, sign_matched_anchor(arr, f_perp),
+                                           f_perp)
+            anchor = SpinConfig(tuple(arr.site_spin_values(j)[rng.integers(quanta[j])]
+                                      for j in range(J)))
+            got = enumerate_dfs_configs(arr, noise, anchor=anchor)
+            assert got == _brute_force_dfs(arr, noise, anchor, None)
+            kept += len(got)
+    assert kept > 100
 
 
 # ----------------------------------------------------------------- equalize

@@ -139,6 +139,11 @@ def test_arbitrary_linear_bisection_fallback():
     p = arbitrary_linear_placement(prof, None, N=4, a=0.5, bracket=(-5.0, 5.0))
     for r, f in zip(p.positions, p.signal_values):
         assert abs(prof(r) - float(f)) < 1e-8
+    # float levels that differ by round-off merge into one level each
+    p = arbitrary_linear_placement(prof, None, N=8, a=0.37, bracket=(-5.0, 5.0))
+    enum = p.enumerate_levels()
+    assert len(enum) == p.predicted_level_count == 17
+    assert max(abs(e - x) for e, x in zip(enum, p.predicted_levels())) < 1e-12
 
 
 def test_arbitrary_exponential_hits_pair_targets():
