@@ -27,9 +27,9 @@ from .fields import (NoiseModel, SensorArray, SpatialField, dfs_condition,
                      effective_signal_gap, orthogonal_complement,
                      sample_field)
 from .montecarlo import (DephaseCheck, DephasingChannel, EstimationSummary,
-                         TrialRecord, damping_matrix, dephase_coherence,
-                         mc_dephase_check, run_estimation_trials,
-                         simulate_adaptive, simulate_fixed_time)
+                         damping_matrix, dephase_coherence, mc_dephase_check,
+                         run_estimation_trials, simulate_adaptive,
+                         simulate_fixed_time)
 from .placement import (FAMILIES, PlacementPlan, arbitrary_exponential_placement,
                         arbitrary_linear_placement, exponential_placement,
                         linear_placement, table_rows, two_point_placement)

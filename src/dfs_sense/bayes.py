@@ -346,18 +346,30 @@ def holevo_variance(amplitudes_or_rho=None, samples: np.ndarray | None = None,
     return 1.0 / (s * s) - 1.0
 
 
-def empirical_holevo(samples: np.ndarray, true_phase: float | np.ndarray = 0.0
+def _moments(columns) -> tuple[int, np.ndarray, np.ndarray]:
+    """(n, mean, comoment = sum_i (x_i - mean)(x_i - mean)^T) of k columns."""
+    x = np.asarray(columns, dtype=float)
+    mean = x.mean(axis=1)
+    d = x - mean[:, None]
+    return x.shape[1], mean, d @ d.T
+
+
+def empirical_holevo(samples: np.ndarray | None = None,
+                     true_phase: float | np.ndarray = 0.0, moments=None
                      ) -> tuple[float, float]:
-    """Holevo variance of circular residuals plus a delta-method stderr."""
-    z = np.exp(1j * (np.asarray(samples) - true_phase))
-    n = z.size
-    mz = z.mean()
-    s2 = abs(mz) ** 2
+    """Holevo variance of circular residuals plus a delta-method stderr.
+
+    Give the residual samples, or moments = (n, mean, comoment) of their
+    (cos, sin) columns as the Monte-Carlo layer merges them.
+    """
+    if moments is None:
+        z = np.exp(1j * (np.asarray(samples) - true_phase))
+        moments = _moments((z.real.ravel(), z.imag.ravel()))
+    n, mean, com = moments
+    s2 = float(mean @ mean)
     if s2 == 0.0:
         return math.inf, math.inf
-    # gradient of 1/(a^2+b^2) - 1 at (a, b) = (Re mz, Im mz)
-    ga = -2.0 * mz.real / (s2 * s2)
-    gb = -2.0 * mz.imag / (s2 * s2)
-    w = ga * z.real + gb * z.imag
-    se = float(np.std(w, ddof=1)) / math.sqrt(n)
+    # gradient of 1/(a^2+b^2) - 1 at (a, b) = the mean (cos, sin)
+    grad = -2.0 * mean / (s2 * s2)
+    se = math.sqrt(max(grad @ com @ grad / (n - 1), 0.0)) / math.sqrt(n)
     return 1.0 / s2 - 1.0, se

@@ -25,7 +25,7 @@ from .control import EffectiveSpectrum, enumerate_dfs_configs
 from .errors import (Degenerate, InsufficientTime, InvalidState,
                      NoSignalComponent, NotLinear, NumericFailure,
                      ScenarioError, TooLarge, Unreachable)
-from .montecarlo import dephase_coherence, mc_dephase_check
+from .montecarlo import MIN_TRIALS, dephase_coherence, mc_dephase_check
 from .placement import table_rows
 from .protocols import (ProtocolReport, fixed_time_single_shot, ghz_reduction,
                         single_shot_flat)
@@ -311,8 +311,6 @@ def cmd_dfs_check(args) -> dict:
     if len(configs) < 2:
         raise ValueError("fewer than two protected configurations")
     trials = args.trials if args.trials is not None else sc.trials
-    if trials < 1:
-        raise ValueError("trials must be positive")
     seed = args.seed if args.seed is not None else sc.seed
     pairs = [(i, i + 1) for i in range(min(len(configs) - 1, 20))]
     if (0, len(configs) - 1) not in pairs and len(configs) > 2:
@@ -363,13 +361,24 @@ def _contrast_config(built, anchor):
 # wiring
 # ---------------------------------------------------------------------------
 
+def _at_least(minimum: int):
+    """An argparse type: an integer >= minimum, else a usage error."""
+    def integer(text: str) -> int:  # argparse names this type in its errors
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {minimum}")
+        return value
+    return integer
+
+
 _FLAGS = {
     "--scenario": dict(default=None, help="path to a scenario JSON document"),
     "--simulate": dict(action="store_true",
                        help="attach Monte-Carlo trials to the report"),
-    "--trials": dict(type=int, default=None,
+    "--trials": dict(type=_at_least(MIN_TRIALS), default=None,
                      help="override the scenario's trial count"),
-    "--seed": dict(type=int, default=None, help="override the scenario's seed"),
+    "--seed": dict(type=_at_least(0), default=None,
+                   help="override the scenario's seed"),
 }
 
 

@@ -3,9 +3,10 @@
 Determinism policy: every simulation consumes randomness through
 counter-based Philox streams keyed by (seed, stream index). Trial batches
 are split into fixed 4096-trial chunks, each chunk owning the stream keyed
-by its index; results are reassembled in chunk order. The output is
-bit-identical for a given seed no matter how many worker threads run the
-chunks (set via the DFS_SENSE_THREADS environment variable).
+by its index. A chunk reduces its per-trial columns to (n, mean, comoment),
+merged in chunk order (Chan, Golub & LeVeque, Am. Stat. 37, 1983): memory
+is flat in the trial count and the output bit-identical for a given seed
+at any worker thread count (DFS_SENSE_THREADS environment variable).
 
 Estimation trials exploit covariance of the canonical measurement: the
 outcome density at true phase phi is the base density rigidly shifted by
@@ -17,17 +18,19 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
 from .bayes import (CanonicalSampler, FlatPrior, ProbeState, _coherence_sums,
-                    _fourier_grid, empirical_holevo, wrap_pi)
+                    _fourier_grid, _moments, empirical_holevo, wrap_pi)
 from .config import DEFAULT_TOLERANCES, Tolerances, worker_count
 from .control import EffectiveSpectrum
 from .errors import InsufficientTime, NumericFailure
 
 _CHUNK = 4096
 _MASK64 = (1 << 64) - 1
+MIN_TRIALS = 2  # a standard error needs two trials
 
 
 def _stream(seed: int, index: int) -> np.random.Generator:
@@ -35,36 +38,31 @@ def _stream(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _chunks(trials: int):
-    start = 0
-    idx = 0
-    while start < trials:
-        size = min(_CHUNK, trials - start)
-        yield idx, start, size
-        start += size
-        idx += 1
+def _merge(a, b):
+    """Chan-Golub-LeVeque update: the (n, mean, comoment) of two joined records."""
+    na, ma, ca = a
+    nb, mb, cb = b
+    n = na + nb
+    delta = mb - ma
+    return n, ma + delta * (nb / n), ca + cb + np.outer(delta, delta) * (na * nb / n)
 
 
 def _run_chunked(trials: int, seed: int, chunk_fn, threads: int | None = None):
-    """Run chunk_fn(rng, size) over all chunks, ordered reassembly."""
-    jobs = list(_chunks(trials))
+    """Merged (n, mean, comoment) of the columns chunk_fn(rng, size, start) returns."""
+    if trials < MIN_TRIALS:
+        raise ValueError(f"trials must be at least {MIN_TRIALS}")
+    jobs = [(idx, start, min(_CHUNK, trials - start))
+            for idx, start in enumerate(range(0, trials, _CHUNK))]
     workers = worker_count(trials) if threads is None else max(1, threads)
-    results = [None] * len(jobs)
 
     def work(job):
-        idx, _start, size = job
-        rng = _stream(seed, (1 << 32) + idx)
-        return idx, chunk_fn(rng, size)
+        idx, start, size = job
+        return _moments(chunk_fn(_stream(seed, (1 << 32) + idx), size, start))
 
     if workers <= 1 or len(jobs) <= 1:
-        for job in jobs:
-            idx, out = work(job)
-            results[idx] = out
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for idx, out in pool.map(work, jobs):
-                results[idx] = out
-    return results
+        return reduce(_merge, map(work, jobs))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return reduce(_merge, pool.map(work, jobs))
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +169,7 @@ def mc_dephase_check(channel: DephasingChannel, config_a, config_b,
                      for f in channel.fields])
     analytic = dephase_coherence(channel, config_a, config_b, tolerances)
 
-    def chunk_fn(rng, size):
+    def chunk_fn(rng, size, _start):
         total = np.zeros(size)
         for a, sig, kind in zip(proj, channel.sigmas, channel.kinds):
             if kind == "gaussian":
@@ -179,16 +177,10 @@ def mc_dephase_check(channel: DephasingChannel, config_a, config_b,
             else:
                 chi = rng.uniform(-math.pi * sig, math.pi * sig, size)
             total += chi * a
-        c = np.cos(total)
-        return c.sum(), (c * c).sum(), size
+        return (np.cos(total),)
 
-    parts = _run_chunked(trials, seed, chunk_fn)
-    s1 = sum(p[0] for p in parts)
-    s2 = sum(p[1] for p in parts)
-    n = sum(p[2] for p in parts)
-    mean = s1 / n
-    var = max(s2 / n - mean * mean, 0.0)
-    se = math.sqrt(var / n)
+    n, (mean,), com = _run_chunked(trials, seed, chunk_fn)
+    se = math.sqrt(com[0, 0]) / n  # population variance com / n, as always
     z = 0.0 if se == 0 else (mean - analytic) / se
     return DephaseCheck(analytic=analytic, empirical=float(mean),
                         stderr=float(se), z_score=float(z),
@@ -198,14 +190,6 @@ def mc_dephase_check(channel: DephasingChannel, config_a, config_b,
 # ---------------------------------------------------------------------------
 # estimation trials
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TrialRecord:
-    omega: float
-    outcome: float
-    estimate: float
-    error: float
-
 
 @dataclass(frozen=True)
 class EstimationSummary:
@@ -221,7 +205,8 @@ class EstimationSummary:
     holevo_stderr: float
     nu: int = 1
     extra: dict = field(default_factory=dict)
-    records: tuple[TrialRecord, ...] | None = None
+    # one row per trial, fields omega, outcome, estimate, error (records=True)
+    records: np.ndarray | None = None
 
     def to_dict(self) -> dict:
         d = {
@@ -235,27 +220,19 @@ class EstimationSummary:
         return d
 
 
-def _bootstrap_ci(sq_errors: np.ndarray, seed: int, B: int = 200) -> tuple[float, float]:
-    rng = _stream(seed, 1)
-    n = sq_errors.size
-    idx = rng.integers(0, n, size=(B, n))
-    means = sq_errors[idx].mean(axis=1)
-    lo, hi = np.percentile(means, [2.5, 97.5])
-    return float(lo), float(hi)
-
-
-def _summarize(kind: str, t: float, seed: int, errors: np.ndarray,
-               phase_res: np.ndarray, nu: int, extra: dict,
-               recs: tuple[TrialRecord, ...] | None) -> EstimationSummary:
-    sq = errors * errors
-    mse = float(sq.mean())
-    se = float(sq.std(ddof=1)) / math.sqrt(sq.size) if sq.size > 1 else 0.0
-    lo, hi = _bootstrap_ci(sq, seed)
-    hol, hol_se = empirical_holevo(phase_res)
-    return EstimationSummary(kind=kind, trials=errors.size, seed=seed, t=t,
-                             mse=mse, mse_stderr=se, ci_low=lo, ci_high=hi,
-                             holevo=hol, holevo_stderr=hol_se, nu=nu,
-                             extra=extra, records=recs)
+def _summarize(kind: str, t: float, seed: int, stats, nu: int, extra: dict,
+               records: np.ndarray | None = None) -> EstimationSummary:
+    """Summary of merged moments whose columns start e^2, cos r, sin r (e the
+    error, r the phase residual); the 95 % interval is mse +- 1.96 mse_stderr."""
+    n, mean, com = stats
+    mse = float(mean[0])
+    se = math.sqrt(com[0, 0] / (n - 1)) / math.sqrt(n)
+    hol, hol_se = empirical_holevo(moments=(n, mean[1:3], com[1:3, 1:3]))
+    return EstimationSummary(kind=kind, trials=n, seed=seed, t=t,
+                             mse=mse, mse_stderr=se, ci_low=mse - 1.96 * se,
+                             ci_high=mse + 1.96 * se, holevo=hol,
+                             holevo_stderr=hol_se, nu=nu, extra=extra,
+                             records=records)
 
 
 def _base_sampler(probe_or_rho, tolerances: Tolerances) -> CanonicalSampler:
@@ -278,8 +255,6 @@ def run_estimation_trials(probe_or_rho, spectrum: EffectiveSpectrum,
     window anchored at the prior's lower edge. Error is the circular
     residual with period 2pi/(t g).
     """
-    if trials < 1:
-        raise ValueError("trials must be positive")
     if nu < 1:
         raise ValueError("nu must be positive")
     if t <= 0:
@@ -290,8 +265,10 @@ def run_estimation_trials(probe_or_rho, spectrum: EffectiveSpectrum,
     sampler = _base_sampler(probe_or_rho, tolerances)
     tg = t * g
     W0, lo0 = prior.width, prior.lower
+    names = ("omega", "outcome", "estimate", "error")
+    recs = np.empty(trials, [(k, float) for k in names]) if records else None
 
-    def chunk_fn(rng, size):
+    def chunk_fn(rng, size, start):
         u = rng.random(size) * W0
         y = sampler.sample(rng, (size, nu)) if nu > 1 else sampler.sample(rng, size)
         if nu > 1:
@@ -301,23 +278,16 @@ def run_estimation_trials(probe_or_rho, spectrum: EffectiveSpectrum,
         err = resid / tg
         if records:
             omega = lo0 + u
-            outcome = np.mod((y if nu == 1 else y[:, 0]) + omega * tg, 2 * np.pi)
-            return err, resid, omega, outcome
-        return err, resid, None, None
+            rows = recs[start:start + size]
+            rows["omega"], rows["estimate"], rows["error"] = omega, omega + err, err
+            rows["outcome"] = np.mod((y if nu == 1 else y[:, 0]) + omega * tg,
+                                     2 * np.pi)
+        return err * err, np.cos(resid), np.sin(resid), resid ** 2
 
-    parts = _run_chunked(trials, seed, chunk_fn, threads)
-    errors = np.concatenate([p[0] for p in parts])
-    resid = np.concatenate([p[1] for p in parts])
-    recs = None
-    if records:
-        omega = np.concatenate([p[2] for p in parts])
-        outcome = np.concatenate([p[3] for p in parts])
-        recs = tuple(TrialRecord(float(o), float(th), float(o + e), float(e))
-                     for o, th, e in zip(omega, outcome, errors))
-    extra = {"phase_mse": float(np.mean(resid ** 2)),
-             "window": 2 * np.pi / tg}
+    stats = _run_chunked(trials, seed, chunk_fn, threads)
+    extra = {"phase_mse": float(stats[1][3]), "window": 2 * np.pi / tg}
     return _summarize("single_shot_flat" if nu == 1 else "repeat", t, seed,
-                      errors, resid, nu, extra, recs)
+                      stats, nu, extra, recs)
 
 
 def _posterior_mean_table(probe_or_rho, gap: float, prior_mean: float,
@@ -366,25 +336,24 @@ def simulate_fixed_time(probe_or_rho, spectrum: EffectiveSpectrum,
     tg = t * g
     omega_hat = _posterior_mean_table(raw, g, prior_mean, prior_width, t,
                                       len(sampler.thetas))
-    # periodic interpolation table: append the wrap point
-    knots = np.concatenate((sampler.thetas, [2.0 * np.pi]))
-    table = np.concatenate((omega_hat, [omega_hat[0]]))
+    # periodic interpolation table on the sampler's knots, which end at the
+    # wrap point 2 pi (np.interp's period= re-sorts the knots on every call)
+    knots = sampler._knots
+    table = np.append(omega_hat, omega_hat[0])
 
-    def chunk_fn(rng, size):
+    def chunk_fn(rng, size, _start):
         omega = rng.normal(prior_mean, prior_width, size)
         y = sampler.sample(rng, size)
         theta = np.mod(y + omega * tg, 2.0 * np.pi)
-        est = np.interp(theta, knots, table)
-        return est - omega, wrap_pi(y)
+        err = np.interp(theta, knots, table) - omega
+        resid = wrap_pi(y)
+        return err * err, np.cos(resid), np.sin(resid)
 
-    parts = _run_chunked(trials, seed, chunk_fn, threads)
-    errors = np.concatenate([p[0] for p in parts])
-    resid = np.concatenate([p[1] for p in parts])
-    sq = errors * errors
-    red = float(sq.mean()) / prior_width ** 2
-    red_se = float(sq.std(ddof=1)) / math.sqrt(sq.size) / prior_width ** 2
-    extra = {"reduction_hat": red, "reduction_hat_stderr": red_se}
-    return _summarize("fixed_time", t, seed, errors, resid, 1, extra, None)
+    out = _summarize("fixed_time", t, seed,
+                     _run_chunked(trials, seed, chunk_fn, threads), 1, {})
+    out.extra.update(reduction_hat=out.mse / prior_width ** 2,
+                     reduction_hat_stderr=out.mse_stderr / prior_width ** 2)
+    return out
 
 
 def simulate_adaptive(probe_or_rho, spectrum: EffectiveSpectrum,
@@ -405,8 +374,9 @@ def simulate_adaptive(probe_or_rho, spectrum: EffectiveSpectrum,
     sampler = _base_sampler(probe_or_rho, tolerances)
     rounds = list(zip(times, widths))
     W0, lo0 = prior.width, prior.lower
+    final_w = widths[-1]
 
-    def chunk_fn(rng, size):
+    def chunk_fn(rng, size, _start):
         omega = lo0 + rng.random(size) * W0
         lo = np.full(size, lo0)
         est = np.full(size, lo0)
@@ -417,17 +387,15 @@ def simulate_adaptive(probe_or_rho, spectrum: EffectiveSpectrum,
             u_hat = np.mod(theta - lo * tg, 2 * np.pi) / tg
             est = lo + u_hat
             lo = est - 0.5 * w_k
-        return est - omega, None
+        err = est - omega
+        # phase residual of the last round is err * t_n * g
+        resid = wrap_pi(err * times[-1] * g)
+        # a miss: the running window lost the true value
+        return err * err, np.cos(resid), np.sin(resid), np.abs(err) > final_w
 
-    parts = _run_chunked(trials, seed, chunk_fn, threads)
-    errors = np.concatenate([p[0] for p in parts])
-    final_w = widths[-1]
+    stats = _run_chunked(trials, seed, chunk_fn, threads)
     extra = {"final_width": final_w,
              "flat_window_variance": final_w ** 2 / 12.0,
              "rounds": len(rounds),
-             # fraction of trials whose running window lost the true value
-             "window_miss_rate": float(np.mean(np.abs(errors) > final_w))}
-    # phase residual of the last round is errors * t_n * g
-    resid = wrap_pi(errors * times[-1] * g)
-    return _summarize("adaptive", times[-1], seed, errors, resid,
-                      len(rounds), extra, None)
+             "window_miss_rate": float(stats[1][3])}
+    return _summarize("adaptive", times[-1], seed, stats, len(rounds), extra)

@@ -24,7 +24,7 @@ from .config import DEFAULT_TOLERANCES, Tolerances
 from .control import EffectiveSpectrum, enumerate_dfs_configs
 from .errors import ScenarioError
 from .fields import NoiseModel, SensorArray, SpatialField, orthogonal_complement, sample_field
-from .montecarlo import DephasingChannel
+from .montecarlo import MIN_TRIALS, DephasingChannel
 from .placement import FAMILIES, PlacementPlan
 from . import protocols
 
@@ -330,8 +330,9 @@ def parse_scenario(doc) -> Scenario:
     trials = doc.get("trials", 100_000)
     if not _is_int(seed) or seed < 0:
         raise ScenarioError("seed must be a nonnegative integer", "seed")
-    if not _is_int(trials) or trials < 1:
-        raise ScenarioError("trials must be a positive integer", "trials")
+    if not _is_int(trials) or trials < MIN_TRIALS:
+        raise ScenarioError(f"trials must be an integer >= {MIN_TRIALS}",
+                            "trials")
     if protocol.kind == "fixed_time" and prior.kind != "gaussian":
         raise ScenarioError("fixed_time requires a gaussian prior", "prior.kind")
     if protocol.kind != "fixed_time" and prior.kind != "flat":

@@ -1,15 +1,18 @@
 """Dephasing channels and Monte-Carlo estimation trials."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from dfs_sense import (DephasingChannel, EffectiveSpectrum, FlatPrior,
                        GaussianPrior, InsufficientTime, berry_wiseman_probe,
-                       damping_matrix, dephase_coherence, ghz_probe,
-                       mc_dephase_check, run_estimation_trials,
-                       simulate_adaptive, simulate_fixed_time)
+                       damping_matrix, dephase_coherence, empirical_holevo,
+                       ghz_probe, mc_dephase_check, montecarlo,
+                       run_estimation_trials, simulate_adaptive,
+                       simulate_fixed_time)
+from dfs_sense.bayes import _moments
 
 
 def _linear(L, delta=1.0):
@@ -96,17 +99,114 @@ def test_mc_dephase_check_uniform_kind():
 
 # ------------------------------------------------------- estimation trials
 
-def test_trials_bit_identical_across_threads():
+def _three_simulations(trials, seed, threads):
+    """The flat, fixed-time and adaptive estimation runs on small ladders."""
     sp = _linear(5, 4.0)
     p = berry_wiseman_probe(5)
     prior = FlatPrior(2 * np.pi)
-    one = run_estimation_trials(p, sp, prior, t=1.0, trials=20_000, seed=7,
-                                threads=1)
-    four = run_estimation_trials(p, sp, prior, t=1.0, trials=20_000, seed=7,
-                                 threads=4)
-    assert one.mse == four.mse
-    assert one.holevo == four.holevo
-    assert one.ci_low == four.ci_low
+    return (
+        run_estimation_trials(p, sp, prior, t=1.0, trials=trials, seed=seed,
+                              threads=threads),
+        simulate_fixed_time(p, sp, 0.3, 0.8, t=1.0, trials=trials, seed=seed,
+                            threads=threads),
+        simulate_adaptive(p, sp, FlatPrior(1.0), (0.25, 1 / 16),
+                          (2 * np.pi, 8 * np.pi), trials=trials, seed=seed,
+                          threads=threads),
+    )
+
+
+def test_trials_bit_identical_across_threads():
+    one = _three_simulations(20_000, 7, threads=1)
+    four = _three_simulations(20_000, 7, threads=4)
+    for a, b in zip(one, four):
+        assert a.to_dict() == b.to_dict()
+
+
+def test_merge_matches_moments_of_joined_columns():
+    rng = np.random.default_rng(0)
+    # unequal chunks, columns far from zero mean and unequal scales
+    chunks = [rng.normal([[5.0], [-3.0], [1e3]], [[1.0], [0.1], [50.0]],
+                         size=(3, n)) for n in (4096, 1, 7, 1000, 2)]
+    n, mean, com = montecarlo._merge(
+        montecarlo._merge(_moments(chunks[0]), _moments(chunks[1])),
+        montecarlo._merge(montecarlo._merge(_moments(chunks[2]),
+                                            _moments(chunks[3])),
+                          _moments(chunks[4])))
+    want_n, want_mean, want_com = _moments(np.hstack(chunks))
+    assert n == want_n == 5106
+    assert np.allclose(mean, want_mean, rtol=1e-12, atol=0)
+    assert np.allclose(com, want_com, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("nu", [1, 3])
+def test_merged_summary_matches_records(nu):
+    sp = _linear(5, 4.0)
+    t = 1.3
+    out = run_estimation_trials(berry_wiseman_probe(5), sp, FlatPrior(2.0),
+                                t=t, trials=10_000, seed=4, nu=nu,
+                                records=True, threads=2)
+    err = out.records["error"]
+    sq = err * err
+    assert out.mse == pytest.approx(sq.mean(), rel=1e-12)
+    assert out.mse_stderr == pytest.approx(
+        sq.std(ddof=1) / math.sqrt(sq.size), rel=1e-12)
+    resid = err * (t * sp.gap)
+    assert out.extra["phase_mse"] == pytest.approx(np.mean(resid ** 2),
+                                                   rel=1e-12)
+    hol, hol_se = empirical_holevo(resid)
+    assert out.holevo == pytest.approx(hol, rel=1e-9)
+    assert out.holevo_stderr == pytest.approx(hol_se, rel=1e-9)
+    # the 95 % interval is the normal one around the mse
+    assert out.ci_low == pytest.approx(out.mse - 1.96 * out.mse_stderr, rel=1e-15)
+    assert out.ci_high == pytest.approx(out.mse + 1.96 * out.mse_stderr, rel=1e-15)
+
+
+def test_summary_memory_flat_in_trials():
+    sp = _linear(5, 4.0)
+    p = berry_wiseman_probe(5)
+    runs = (
+        lambda: run_estimation_trials(p, sp, FlatPrior(2 * np.pi), t=1.0,
+                                      trials=100_000, seed=0),
+        lambda: simulate_fixed_time(p, sp, 0.3, 0.8, t=1.0, trials=100_000,
+                                    seed=0),
+        lambda: simulate_adaptive(p, sp, FlatPrior(1.0), (0.25, 1 / 16),
+                                  (2 * np.pi, 8 * np.pi), trials=100_000,
+                                  seed=0),
+    )
+    for run in runs:
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
+
+
+@pytest.mark.parametrize("which", ["flat", "fixed_time", "adaptive"])
+@pytest.mark.parametrize("trials", [0, 1])
+def test_trial_count_checked_before_chunks(which, trials, monkeypatch):
+    def no_stream(*args):
+        raise AssertionError("a chunk ran")
+    monkeypatch.setattr(montecarlo, "_stream", no_stream)
+    sp = _linear(3)
+    p = ghz_probe(3)
+    with pytest.raises(ValueError, match="at least 2"):
+        if which == "flat":
+            run_estimation_trials(p, sp, FlatPrior(1.0), t=1.0,
+                                  trials=trials, seed=0)
+        elif which == "fixed_time":
+            simulate_fixed_time(p, sp, 0.0, 1.0, t=1.0, trials=trials, seed=0)
+        else:
+            simulate_adaptive(p, sp, FlatPrior(1.0), (0.25,), (2 * np.pi,),
+                              trials=trials, seed=0)
+
+
+def test_two_trials_give_finite_stderrs():
+    for out in _three_simulations(2, 0, threads=1):
+        assert out.trials == 2
+        assert math.isfinite(out.mse_stderr)
+        assert math.isfinite(out.holevo_stderr)
 
 
 def test_trials_seed_reproducible_and_sensitive():
@@ -151,13 +251,25 @@ def test_ghz_wrapped_phase_mse():
 def test_records_roundtrip():
     sp = _linear(3, 2.0)
     p = berry_wiseman_probe(3)
-    out = run_estimation_trials(p, sp, FlatPrior(1.0, lower=-0.5), t=2.0,
+    t = 2.0
+    out = run_estimation_trials(p, sp, FlatPrior(1.0, lower=-0.5), t=t,
                                 trials=500, seed=1, records=True)
-    assert out.records is not None and len(out.records) == 500
-    r = out.records[0]
-    assert r.estimate == pytest.approx(r.omega + r.error, abs=1e-12)
-    errs = np.array([q.error for q in out.records])
-    assert np.mean(errs ** 2) == pytest.approx(out.mse, rel=1e-12)
+    rec = out.records
+    assert rec.dtype.names == ("omega", "outcome", "estimate", "error")
+    assert len(rec) == 500
+    assert np.allclose(rec["estimate"], rec["omega"] + rec["error"],
+                       rtol=0, atol=1e-12)
+    assert np.all((-0.5 <= rec["omega"]) & (rec["omega"] < 0.5))
+    assert np.all((0.0 <= rec["outcome"]) & (rec["outcome"] < 2 * np.pi))
+    # the outcome is the error's phase residual shifted by omega t g
+    tg = t * sp.gap
+    shift = np.mod(rec["outcome"] - rec["omega"] * tg - rec["error"] * tg
+                   + np.pi, 2 * np.pi) - np.pi
+    assert np.max(np.abs(shift)) < 1e-12
+    assert np.mean(rec["error"] ** 2) == pytest.approx(out.mse, rel=1e-12)
+    without = run_estimation_trials(p, sp, FlatPrior(1.0, lower=-0.5), t=t,
+                                    trials=500, seed=1)
+    assert without.records is None and without.to_dict() == out.to_dict()
 
 
 def test_repeat_shots_reduce_mse():

@@ -88,6 +88,8 @@ def test_round_trip_all_protocols():
     (lambda d: d.update(protocol={"kind": "repeat"}), "'total_time'"),
     (lambda d: d.update(seed=-1), "seed"),
     (lambda d: d.update(trials=0), "trials"),
+    pytest.param(lambda d: d.update(trials=1), "trials",
+                 id="<lambda>-trials-one"),
     (lambda d: d.update(extra_key=1), "extra_key"),
 ])
 def test_parse_errors_carry_key_paths(mutate, path_frag):
@@ -310,6 +312,32 @@ def test_cli_rejects_flags_the_command_ignores(argv):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["protocol", "--simulate", "--trials", "0"],
+    ["protocol", "--simulate", "--trials", "1"],
+    ["protocol", "--trials", "many"],
+    ["protocol", "--seed", "-1"],
+    ["dfs-check", "--trials", "1"],
+    ["dfs-check", "--seed", "-3"],
+])
+def test_cli_trials_and_seed_bounds_are_usage_errors(argv, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--scenario", _write(tmp_path, _base_doc())])
+    assert exc.value.code == 2
+    assert f"argument {argv[-2]}:" in capsys.readouterr().err
+
+
+def test_cli_smallest_trial_count_writes_valid_json(tmp_path, capsys):
+    rc = cli.main(["protocol", "--scenario", _write(tmp_path, _base_doc()),
+                   "--simulate", "--trials", "2", "--seed", "0",
+                   "--format", "json"])
+    assert rc == 0
+    # NaN or Infinity in the output is not JSON: fail on it
+    sim = json.loads(capsys.readouterr().out,
+                     parse_constant=pytest.fail)["report"]["simulation"]
+    assert sim["trials"] == 2 and math.isfinite(sim["holevo_stderr"])
 
 
 def test_cli_usage_error_exits_2():
