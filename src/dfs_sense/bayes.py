@@ -133,6 +133,14 @@ def evolve(probe: ProbeState, spectrum: EffectiveSpectrum, omega: float,
     return ProbeState(tuple((probe.vector * phases).tolist()))
 
 
+def _check_density(trace: float, lam_min: float, psd_floor: float) -> None:
+    """Unit trace and no eigenvalue below psd_floor, else InvalidState."""
+    if abs(trace - 1.0) > 1e-12 * 10:
+        raise InvalidState("trace(rho) != 1")
+    if lam_min < psd_floor:
+        raise InvalidState(f"eigenvalue {lam_min:.2e} below the floor {psd_floor:.2e}")
+
+
 @dataclass(frozen=True)
 class AveragedState:
     """Prior-averaged density matrix in the generator eigenbasis."""
@@ -145,16 +153,39 @@ class AveragedState:
             raise InvalidState("rho must be square")
         if np.max(np.abs(r - r.conj().T)) > 1e-12 * max(1.0, float(np.max(np.abs(r)))):
             raise InvalidState("rho not Hermitian")
-        if abs(np.trace(r).real - 1.0) > 1e-12 * 10:
-            raise InvalidState("trace(rho) != 1")
-        lam = np.linalg.eigvalsh(r)
-        if lam.min() < DEFAULT_TOLERANCES.psd_floor:
-            raise InvalidState(f"negative eigenvalue {lam.min():.2e}")
+        _check_density(np.trace(r).real, np.linalg.eigvalsh(r).min(),
+                       DEFAULT_TOLERANCES.psd_floor)
         object.__setattr__(self, "rho", r)
 
     @property
     def L(self) -> int:
         return self.rho.shape[0]
+
+
+def _averaged_core(probe: ProbeState, prior: GaussianPrior,
+                   spectrum: EffectiveSpectrum, t: float,
+                   tolerances: Tolerances) -> tuple[np.ndarray, np.ndarray]:
+    """Real core rho_r and phases phi of the averaged state: rho_bar = phi rho_r phi^*.
+
+    rho_r = diag|c| K diag|c| with the real Toeplitz damping kernel
+    K_nm = exp(-(t W0 g)^2 (n-m)^2 / 2); phi_n = exp(i arg c_n - i mean t g n).
+    diag(phi) is unitary and commutes with the generator, so rho_bar and
+    rho_r share their eigenvalues and, each in its own eigenbasis, the
+    |<k| G |l>|^2 that the information sums.
+    """
+    if not isinstance(prior, GaussianPrior):
+        raise TypeError("averaged_state requires a Gaussian prior")
+    if not spectrum.is_linear(tolerances):
+        raise NotLinear("averaging formula requires uniform level spacing")
+    if spectrum.L != probe.L:
+        raise ValueError("probe and spectrum level counts differ")
+    c = probe.vector
+    n = np.arange(spectrum.L)
+    g = spectrum.gap if spectrum.L > 1 else 0.0
+    k = np.exp(-0.5 * (t * prior.width * g * n) ** 2)
+    a = np.abs(c)
+    core = a[:, None] * k[np.abs(n[:, None] - n)] * a
+    return core, np.exp(1j * (np.angle(c) - prior.mean * t * g * n))
 
 
 def averaged_state(probe: ProbeState, prior: GaussianPrior,
@@ -166,22 +197,8 @@ def averaged_state(probe: ProbeState, prior: GaussianPrior,
     picks up the prior characteristic function at t g (n - m):
     exp(-i mean t g (n-m)) * exp(-(t W0 g)^2 (n-m)^2 / 2).
     """
-    if not isinstance(prior, GaussianPrior):
-        raise TypeError("averaged_state requires a Gaussian prior")
-    if not spectrum.is_linear(tolerances):
-        raise NotLinear("averaging formula requires uniform level spacing")
-    if spectrum.L != probe.L:
-        raise ValueError("probe and spectrum level counts differ")
-    c = probe.vector
-    rho = np.outer(c, c.conj())
-    if spectrum.L > 1:
-        g = spectrum.gap
-        n = np.arange(spectrum.L)
-        dn = n[:, None] - n[None, :]
-        damp = np.exp(-0.5 * (t * prior.width * g) ** 2 * dn.astype(float) ** 2)
-        phase = np.exp(-1j * prior.mean * t * g * dn.astype(float))
-        rho = rho * damp * phase
-    return AveragedState(rho)
+    core, phase = _averaged_core(probe, prior, spectrum, t, tolerances)
+    return AveragedState(phase[:, None] * core * phase.conj())
 
 
 def qfi_pure(probe: ProbeState, spectrum: EffectiveSpectrum, t: float) -> float:
@@ -193,6 +210,22 @@ def qfi_pure(probe: ProbeState, spectrum: EffectiveSpectrum, t: float) -> float:
     mean = float(p @ g)
     var = float(p @ (g - mean) ** 2)
     return 4.0 * t * t * var
+
+
+def _sld_information(lam: np.ndarray, vecs: np.ndarray, levels: np.ndarray,
+                     t: float, tolerances: Tolerances) -> float:
+    """2 t^2 sum_{k != l} (lam_k - lam_l)^2 / (lam_k + lam_l) |<k| G |l>|^2.
+
+    (lam, vecs) is the eigendecomposition of the state, G = diag(levels);
+    pairs with lam_k + lam_l at or below sld_floor are left out.
+    """
+    lam = np.clip(lam, 0.0, None)
+    gmat = vecs.conj().T @ (levels[:, None] * vecs)
+    num = (lam[:, None] - lam[None, :]) ** 2
+    den = lam[:, None] + lam[None, :]
+    keep = den > tolerances.sld_floor
+    terms = np.where(keep, num / np.where(keep, den, 1.0), 0.0) * np.abs(gmat) ** 2
+    return float(2.0 * t * t * np.sum(terms))
 
 
 def qfi_mixed(state: AveragedState, spectrum: EffectiveSpectrum, t: float,
@@ -208,13 +241,7 @@ def qfi_mixed(state: AveragedState, spectrum: EffectiveSpectrum, t: float,
     if state.L != spectrum.L:
         raise ValueError("state and spectrum level counts differ")
     lam, vecs = np.linalg.eigh(state.rho)
-    lam = np.clip(lam, 0.0, None)
-    gmat = vecs.conj().T @ (spectrum.levels_float[:, None] * vecs)
-    num = (lam[:, None] - lam[None, :]) ** 2
-    den = lam[:, None] + lam[None, :]
-    keep = den > tolerances.sld_floor
-    terms = np.where(keep, num / np.where(keep, den, 1.0), 0.0) * np.abs(gmat) ** 2
-    return float(2.0 * t * t * np.sum(terms))
+    return _sld_information(lam, vecs, spectrum.levels_float, t, tolerances)
 
 
 def variance_reduction(probe: ProbeState, prior: GaussianPrior,
@@ -223,10 +250,15 @@ def variance_reduction(probe: ProbeState, prior: GaussianPrior,
     """Posterior-to-prior variance ratio W1^2/W0^2 = 1 - W0^2 F(rho_bar).
 
     Equals 1 at t = 0 (no information) and 1 - x^2 exp(-x^2), x = t W0
-    Delta, for the extremal two-level probe.
+    Delta, for the extremal two-level probe. F(rho_bar) is evaluated on the
+    real core of _averaged_core with one real symmetric eigensolve, whose
+    smallest eigenvalue is checked against tolerances.psd_floor.
     """
-    rho = averaged_state(probe, prior, spectrum, t, tolerances)
-    return 1.0 - prior.width ** 2 * qfi_mixed(rho, spectrum, t, tolerances)
+    core, _ = _averaged_core(probe, prior, spectrum, t, tolerances)
+    lam, vecs = np.linalg.eigh(core)
+    _check_density(np.trace(core), lam.min(), tolerances.psd_floor)
+    info = _sld_information(lam, vecs, spectrum.levels_float, t, tolerances)
+    return 1.0 - prior.width ** 2 * info
 
 
 # ---------------------------------------------------------------------------

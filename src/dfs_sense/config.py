@@ -19,7 +19,6 @@ class Tolerances:
     rank_rtol: float = 1e-10        # singular values below rank_rtol * s_max count as zero
     orthogonality_rtol: float = 1e-12   # |f_k . v| <= rtol * |f_k| * |v| counts as orthogonal
     drop_rtol: float = 1e-12        # |f_perp| below drop_rtol * |f0| means no sensable component
-    reconstruction_atol: float = 1e-10  # componentwise bound for projector reconstruction
 
     # spectra
     level_merge_rtol: float = 1e-9  # two float levels merge when closer than rtol * range
@@ -29,10 +28,6 @@ class Tolerances:
     norm_atol: float = 1e-12
     psd_floor: float = -1e-10       # smallest admissible density-matrix eigenvalue
     sld_floor: float = 1e-12        # eigenvalue-pair sum floor in the mixed-information sum
-    pure_match_rtol: float = 1e-9   # mixed-vs-pure information agreement on pure inputs
-
-    # schedules
-    average_atol: float = 1e-12     # realized time-average vs target spin
 
     # canonical phase measurement
     phase_grid_bits: int = 14       # floor: the grid has at least 2**phase_grid_bits points

@@ -31,6 +31,7 @@ from .errors import InsufficientTime, NumericFailure
 _CHUNK = 4096
 _MASK64 = (1 << 64) - 1
 MIN_TRIALS = 2  # a standard error needs two trials
+_DRAW_BLOCK = 1 << 16  # repeat outcomes drawn at once, so memory is flat in nu
 
 
 def _stream(seed: int, index: int) -> np.random.Generator:
@@ -136,14 +137,21 @@ def dephase_coherence(channel: DephasingChannel, config_a, config_b,
 
 def damping_matrix(channel: DephasingChannel, configs,
                    tolerances: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
-    """Pairwise coherence damping for a list of configurations."""
-    n = len(configs)
-    m = np.ones((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            m[i, j] = m[j, i] = dephase_coherence(channel, configs[i],
-                                                  configs[j], tolerances)
-    return m
+    """Pairwise coherence damping for a list of configurations.
+
+    dephase_coherence for every pair at once, with the same snap rule.
+    """
+    s = np.array([np.asarray(c, dtype=float) for c in configs])
+    ds = s[:, None, :] - s[None, :, :]
+    f = np.asarray(channel.fields, dtype=float).reshape(channel.K, s.shape[1])
+    a = ds @ f.T  # (pair, pair, channel) projections
+    scale = np.maximum(1.0, np.max(np.abs(ds), axis=-1, initial=0.0))
+    fscale = np.maximum(1.0, np.max(np.abs(f), axis=-1, initial=0.0))
+    snap = np.abs(a) <= 1e-12 * scale[..., None] * fscale * f.shape[1]
+    x = np.asarray(channel.sigmas) * a
+    gaussian = np.asarray(channel.kinds) == "gaussian"
+    factors = np.where(gaussian, np.exp(-0.5 * x ** 2), np.sinc(x))
+    return np.prod(np.where(snap, 1.0, factors), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -268,20 +276,32 @@ def run_estimation_trials(probe_or_rho, spectrum: EffectiveSpectrum,
     names = ("omega", "outcome", "estimate", "error")
     recs = np.empty(trials, [(k, float) for k in names]) if records else None
 
+    def shots(rng, size):
+        """Circular-mean residuals and first outcomes of size trials.
+
+        The (size, nu) outcomes are drawn row-major in row blocks of at most
+        _DRAW_BLOCK outcomes: the stream is that of one (size, nu) draw.
+        """
+        if nu == 1:
+            y = sampler.sample(rng, size)
+            return wrap_pi(y), y
+        resid, first = np.empty(size), np.empty(size)
+        step = max(1, _DRAW_BLOCK // nu)
+        for i in range(0, size, step):
+            y = sampler.sample(rng, (min(step, size - i), nu))
+            resid[i:i + len(y)] = np.angle(np.exp(1j * y).sum(axis=1))
+            first[i:i + len(y)] = y[:, 0]
+        return resid, first
+
     def chunk_fn(rng, size, start):
         u = rng.random(size) * W0
-        y = sampler.sample(rng, (size, nu)) if nu > 1 else sampler.sample(rng, size)
-        if nu > 1:
-            resid = np.angle(np.exp(1j * y).sum(axis=1))
-        else:
-            resid = wrap_pi(y)
+        resid, first = shots(rng, size)
         err = resid / tg
         if records:
             omega = lo0 + u
             rows = recs[start:start + size]
             rows["omega"], rows["estimate"], rows["error"] = omega, omega + err, err
-            rows["outcome"] = np.mod((y if nu == 1 else y[:, 0]) + omega * tg,
-                                     2 * np.pi)
+            rows["outcome"] = np.mod(first + omega * tg, 2 * np.pi)
         return err * err, np.cos(resid), np.sin(resid), resid ** 2
 
     stats = _run_chunked(trials, seed, chunk_fn, threads)

@@ -247,6 +247,34 @@ def test_variance_reduction_ghz_curve():
         assert r == pytest.approx(1.0 - x * x * math.exp(-x * x), rel=1e-9)
 
 
+@pytest.mark.parametrize("L", [1, 2, 5, 64, 300])
+def test_variance_reduction_matches_complex_reference(L):
+    # levels 1.9 + 0.37 k: non-unit gap, nonzero offset; random phases and mean
+    rng = np.random.default_rng(L)
+    sp = EffectiveSpectrum.from_levels([1.9 + 0.37 * k for k in range(L)])
+    p = ProbeState.from_vector(rng.normal(size=L) + 1j * rng.normal(size=L))
+    flat = ProbeState.from_vector(np.abs(p.vector))
+    prior = GaussianPrior(1.3, mean=-0.8)
+    for x in (0.7, 0.8 * L):
+        t = x / (prior.width * max(sp.Delta, 0.37))  # Delta = 0 at L = 1
+        ref = 1.0 - prior.width ** 2 * qfi_mixed(averaged_state(p, prior, sp, t), sp, t)
+        got = variance_reduction(p, prior, sp, t)
+        assert got == pytest.approx(ref, rel=1e-10)
+        assert variance_reduction(flat, prior, sp, t) == pytest.approx(got, rel=1e-12)
+        if L > 1:
+            assert got < 1.0 - 1e-3
+
+
+def test_variance_reduction_respects_psd_floor():
+    sp = _linear(5, 2.0)
+    strict = DEFAULT_TOLERANCES.with_(psd_floor=1e-6)
+    for p, t in ((berry_wiseman_probe(5), 0.0), (ghz_probe(5), 1.0)):
+        # rank-deficient averaged states: eigenvalues 0 up to round-off
+        assert 0.0 < variance_reduction(p, GaussianPrior(0.9), sp, t) <= 1.0
+        with pytest.raises(InvalidState):
+            variance_reduction(p, GaussianPrior(0.9), sp, t, strict)
+
+
 # -------------------------------------------------------- canonical measure
 
 def test_wrap_pi_range():

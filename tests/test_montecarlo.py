@@ -78,6 +78,21 @@ def test_damping_matrix_symmetry():
     assert np.allclose(m, m.T)
     assert np.all(np.diag(m) == 1.0)
     assert np.all((0 < m) & (m <= 1))
+    # every entry is dephase_coherence, protected pairs snapped to exactly 1.0
+    mixed = DephasingChannel(((1 / 3, 1 / 3, 1 / 3), (1.0, -1.0, 0.0)),
+                             (1e6, 0.4), ("gaussian", "uniform"))
+    more = configs + [(0.5, -0.5, -0.5), (1.0, 0.0, -1.0), (0.5, 0.5, -0.5),
+                      (0.0, 0.0, 0.5)]  # the last two: a protected pair
+    for channel in (ch, mixed):
+        m = damping_matrix(channel, more)
+        for i, a in enumerate(more):
+            for j, b in enumerate(more):
+                want = dephase_coherence(channel, a, b)
+                if want == 1.0:
+                    assert m[i, j] == 1.0
+                else:
+                    assert m[i, j] == pytest.approx(want, rel=1e-14, abs=1e-300)
+    assert np.count_nonzero(damping_matrix(mixed, more) == 1.0) > len(more)
 
 
 def test_mc_dephase_check_agrees():
@@ -181,6 +196,33 @@ def test_summary_memory_flat_in_trials():
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2 ** 20
+
+
+def test_repeat_memory_flat_in_nu():
+    sp = _linear(5, 4.0)
+    p = berry_wiseman_probe(5)
+    tracemalloc.start()
+    try:
+        run_estimation_trials(p, sp, FlatPrior(2 * np.pi), t=1.0, trials=512,
+                              seed=0, nu=10_000, threads=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+
+
+def test_repeat_row_blocks_keep_the_stream(monkeypatch):
+    sp = _linear(5, 4.0)
+    p = berry_wiseman_probe(5)
+
+    def run():
+        out = run_estimation_trials(p, sp, FlatPrior(2 * np.pi), t=1.0,
+                                    trials=5000, seed=4, nu=37, records=True)
+        return out.to_dict(), out.records.tobytes()
+
+    blocked = run()  # 1771 rows per block: three blocks in the first chunk
+    monkeypatch.setattr(montecarlo, "_DRAW_BLOCK", 1 << 40)
+    assert run() == blocked
 
 
 @pytest.mark.parametrize("which", ["flat", "fixed_time", "adaptive"])
