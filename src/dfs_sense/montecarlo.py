@@ -137,21 +137,14 @@ def dephase_coherence(channel: DephasingChannel, config_a, config_b,
 
 def damping_matrix(channel: DephasingChannel, configs,
                    tolerances: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
-    """Pairwise coherence damping for a list of configurations.
-
-    dephase_coherence for every pair at once, with the same snap rule.
-    """
-    s = np.array([np.asarray(c, dtype=float) for c in configs])
-    ds = s[:, None, :] - s[None, :, :]
-    f = np.asarray(channel.fields, dtype=float).reshape(channel.K, s.shape[1])
-    a = ds @ f.T  # (pair, pair, channel) projections
-    scale = np.maximum(1.0, np.max(np.abs(ds), axis=-1, initial=0.0))
-    fscale = np.maximum(1.0, np.max(np.abs(f), axis=-1, initial=0.0))
-    snap = np.abs(a) <= 1e-12 * scale[..., None] * fscale * f.shape[1]
-    x = np.asarray(channel.sigmas) * a
-    gaussian = np.asarray(channel.kinds) == "gaussian"
-    factors = np.where(gaussian, np.exp(-0.5 * x ** 2), np.sinc(x))
-    return np.prod(np.where(snap, 1.0, factors), axis=-1)
+    """Pairwise coherence damping for a list of configurations."""
+    n = len(configs)
+    m = np.ones((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            m[i, j] = m[j, i] = dephase_coherence(channel, configs[i],
+                                                  configs[j], tolerances)
+    return m
 
 
 @dataclass(frozen=True)

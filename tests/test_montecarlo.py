@@ -93,6 +93,7 @@ def test_damping_matrix_symmetry():
                 else:
                     assert m[i, j] == pytest.approx(want, rel=1e-14, abs=1e-300)
     assert np.count_nonzero(damping_matrix(mixed, more) == 1.0) > len(more)
+    assert damping_matrix(ch, []).shape == (0, 0)
 
 
 def test_mc_dephase_check_agrees():
