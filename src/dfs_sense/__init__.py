@@ -27,7 +27,7 @@ from .fields import (NoiseModel, SensorArray, SpatialField, dfs_condition,
                      effective_signal_gap, orthogonal_complement,
                      sample_field)
 from .montecarlo import (DephaseCheck, DephasingChannel, EstimationSummary,
-                         damping_matrix, dephase_coherence, mc_dephase_check,
+                         dephase_coherence, mc_dephase_check,
                          run_estimation_trials, simulate_adaptive,
                          simulate_fixed_time)
 from .placement import (FAMILIES, PlacementPlan, arbitrary_exponential_placement,

@@ -16,8 +16,8 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import Degenerate, NoSignalComponent, TooLarge, Unreachable
-from .fields import (Number, NoiseModel, SensorArray, SpatialField, _exact,
-                     _exactable, effective_signal_gap)
+from .fields import (Number, NoiseModel, SensorArray, SpatialField, _as_vector,
+                     _exact, _exactable)
 
 
 @dataclass(frozen=True)
@@ -32,9 +32,6 @@ class SpinConfig:
     @property
     def J(self) -> int:
         return len(self.s)
-
-    def minus(self, other: "SpinConfig") -> tuple[Number, ...]:
-        return tuple(a - b for a, b in zip(self.s, other.s))
 
 
 @dataclass(frozen=True)
@@ -160,30 +157,30 @@ class EffectiveSpectrum:
     def from_levels(cls, values: Sequence[Number],
                     configs: Sequence[SpinConfig] | None = None,
                     tolerances: Tolerances = DEFAULT_TOLERANCES) -> "EffectiveSpectrum":
-        """Sort and deduplicate raw level values.
+        """Sort and merge raw level values (_merge_levels); each level reports
+        the configuration given first among those merged into it."""
+        levels, first = _merge_levels(list(values), tolerances)
+        return cls(levels, None if configs is None else tuple(configs[i] for i in first))
 
-        Exact inputs deduplicate exactly; float inputs merge levels closer
-        than level_merge_rtol * range.
-        """
-        pairs = list(zip(values, configs)) if configs is not None else [(v, None) for v in values]
-        pairs.sort(key=lambda p: float(p[0]))
-        if _exactable(*[p[0] for p in pairs]):
-            merged: list[tuple[Number, SpinConfig | None]] = []
-            for v, c in pairs:
-                if merged and merged[-1][0] == v:
-                    continue
-                merged.append((v, c))
+
+def _merge_levels(values: list[Number], tolerances: Tolerances
+                  ) -> tuple[tuple[Number, ...], list[int]]:
+    """Ascending distinct levels and, per level, the position of the first
+    value merged into it. Sorted values merge into the level of the smallest
+    one when equal (exact values) or within level_merge_rtol * range (floats)."""
+    fl = [float(v) for v in values]
+    exact = _exactable(*values)
+    tol = 0.0 if exact else tolerances.level_merge_rtol * (max(fl) - min(fl))
+    starts: list[int] = []
+    first: list[int] = []
+    for i in np.argsort(fl, kind="stable").tolist():
+        if starts and (values[i] == values[starts[-1]] if exact
+                       else fl[i] - fl[starts[-1]] <= tol):
+            first[-1] = min(first[-1], i)
         else:
-            span = float(pairs[-1][0]) - float(pairs[0][0])
-            tol = tolerances.level_merge_rtol * span if span > 0 else 0.0
-            merged = []
-            for v, c in pairs:
-                if merged and float(v) - float(merged[-1][0]) <= tol:
-                    continue
-                merged.append((v, c))
-        lv = tuple(v for v, _ in merged)
-        cf = tuple(c for _, c in merged) if configs is not None else None
-        return cls(lv, cf)
+            starts.append(i)
+            first.append(i)
+    return tuple(values[i] for i in starts), first
 
 
 @dataclass(frozen=True)
@@ -266,31 +263,18 @@ def _reachable_sums(options: Sequence[Sequence[tuple[Number, Number]]]) -> dict:
     return sums
 
 
-def enumerate_dfs_configs(array: SensorArray, noise: NoiseModel,
-                          anchor: SpinConfig | None = None,
-                          f_perp: SpatialField | None = None,
-                          tolerances: Tolerances = DEFAULT_TOLERANCES) -> list[SpinConfig]:
-    """All physical spin configurations coherent with the anchor.
-
-    Sums f_k . (c - anchor) and |c - anchor|^2 site by site over the full
-    product ladder (guarded) as arrays, and keeps every configuration c that
-    dfs_condition accepts. With no anchor given, the extremal
-    sign-matched configuration along f_perp is used. Output sorted by
-    effective_signal_gap to the anchor when f_perp is available, else
-    lexicographically.
-    """
+def _dfs_rows(array: SensorArray, noise: NoiseModel, anchor: SpinConfig,
+              tolerances: Tolerances) -> np.ndarray:
+    """Ladder indices, one row per configuration c that dfs_condition keeps:
+    f_k . (c - anchor) and |c - anchor|^2 are summed site by site over the
+    whole (guarded) product ladder as arrays. Rows come in C order, which is
+    lexicographic in the spins since every site ladder ascends."""
     if array.total_configurations > tolerances.enumeration_guard:
         raise TooLarge(
             f"{array.total_configurations} configurations exceed the guard "
             f"{tolerances.enumeration_guard}")
-    if anchor is None:
-        if f_perp is None:
-            raise ValueError("an anchor or f_perp is required")
-        anchor = sign_matched_anchor(array, f_perp)
-
-    ladders = [array.site_spin_values(j) for j in range(array.J)]
-    steps = [np.asarray(lad, dtype=float) - float(a)
-             for lad, a in zip(ladders, anchor.s, strict=True)]
+    steps = [np.arange(n) - float(m) - float(a) for n, m, a in
+             zip(array.quanta_per_site, array.max_spins(), anchor.s, strict=True)]
     # summing the open grids of np.ix_ broadcasts one site at a time; axis j
     # indexes site j's ladder, so C order is itertools.product order
     nds = np.sqrt(sum(np.ix_(*(d * d for d in steps))))
@@ -298,14 +282,42 @@ def enumerate_dfs_configs(array: SensorArray, noise: NoiseModel,
     for f in noise.noise_fields:
         proj = sum(np.ix_(*(fj * d for fj, d in zip(f.vector, steps, strict=True))))
         keep &= np.abs(proj) <= tolerances.orthogonality_rtol * np.linalg.norm(f.vector) * nds
-    out = [SpinConfig(tuple(lad[i] for lad, i in zip(ladders, row)))
-           for row in zip(*(p.tolist() for p in np.nonzero(keep)))]
+    # the smallest signed integer type that holds -n_max holds every index
+    return np.stack(np.nonzero(keep), axis=1,
+                    dtype=np.min_scalar_type(-max(array.quanta_per_site)))
+
+
+def _spins(array: SensorArray, rows: np.ndarray) -> np.ndarray:
+    """C-contiguous (n, J) float spins of ladder-index rows (index k of a site
+    with top spin m holds k - m, exact in floats). np.vecdot(spins, v) runs
+    v @ one configuration's spins row by row, bit for bit; m @ v and strided
+    rows sum in another order."""
+    return np.ascontiguousarray(rows - _as_vector(array.max_spins()))
+
+
+def _spin_configs(array: SensorArray, rows: np.ndarray) -> list[SpinConfig]:
+    ladders = [array.site_spin_values(j) for j in range(array.J)]
+    return [SpinConfig(tuple(lad[i] for lad, i in zip(ladders, row)))
+            for row in rows.tolist()]
+
+
+def enumerate_dfs_configs(array: SensorArray, noise: NoiseModel,
+                          anchor: SpinConfig | None = None,
+                          f_perp: SpatialField | None = None,
+                          tolerances: Tolerances = DEFAULT_TOLERANCES) -> list[SpinConfig]:
+    """All physical spin configurations coherent with the anchor (by default
+    the sign-matched one along f_perp), sorted by effective_signal_gap to the
+    anchor when f_perp is given, then lexicographically."""
+    if anchor is None:
+        if f_perp is None:
+            raise ValueError("an anchor or f_perp is required")
+        anchor = sign_matched_anchor(array, f_perp)
+    rows = _dfs_rows(array, noise, anchor, tolerances)
     if f_perp is not None:
-        out.sort(key=lambda c: (effective_signal_gap(c, anchor, f_perp),
-                                tuple(float(v) for v in c.s)))
-    else:
-        out.sort(key=lambda c: tuple(float(v) for v in c.s))
-    return out
+        # a stable sort keeps equal gaps in lexicographic order
+        gaps = np.vecdot(_spins(array, rows) - _as_vector(anchor), f_perp.vector)
+        rows = rows[np.argsort(gaps, kind="stable")]
+    return _spin_configs(array, rows)
 
 
 def equalize_multidim(f_perp: SpatialField | Sequence[Number],

@@ -108,8 +108,7 @@ class DephasingChannel:
                    ("gaussian",) * len(fields))
 
 
-def dephase_coherence(channel: DephasingChannel, config_a, config_b,
-                      tolerances: Tolerances = DEFAULT_TOLERANCES) -> float:
+def dephase_coherence(channel: DephasingChannel, config_a, config_b) -> float:
     """Analytic damping factor for the (a, b) coherence.
 
     Product over channels of the characteristic function at
@@ -135,18 +134,6 @@ def dephase_coherence(channel: DephasingChannel, config_a, config_b,
     return 1.0 if protected else out
 
 
-def damping_matrix(channel: DephasingChannel, configs,
-                   tolerances: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
-    """Pairwise coherence damping for a list of configurations."""
-    n = len(configs)
-    m = np.ones((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            m[i, j] = m[j, i] = dephase_coherence(channel, configs[i],
-                                                  configs[j], tolerances)
-    return m
-
-
 @dataclass(frozen=True)
 class DephaseCheck:
     analytic: float
@@ -158,8 +145,7 @@ class DephaseCheck:
 
 
 def mc_dephase_check(channel: DephasingChannel, config_a, config_b,
-                     trials: int = 100_000, seed: int = 0,
-                     tolerances: Tolerances = DEFAULT_TOLERANCES) -> DephaseCheck:
+                     trials: int = 100_000, seed: int = 0) -> DephaseCheck:
     """Empirical coherence damping from sampled phases vs the analytic value.
 
     Draws chi_k per trial, accumulates cos(sum_k chi_k a_k) (the imaginary
@@ -168,7 +154,7 @@ def mc_dephase_check(channel: DephasingChannel, config_a, config_b,
     ds = np.asarray(config_a, dtype=float) - np.asarray(config_b, dtype=float)
     proj = np.array([float(np.asarray(f, dtype=float) @ ds)
                      for f in channel.fields])
-    analytic = dephase_coherence(channel, config_a, config_b, tolerances)
+    analytic = dephase_coherence(channel, config_a, config_b)
 
     def chunk_fn(rng, size, _start):
         total = np.zeros(size)

@@ -84,9 +84,6 @@ class PlacementPlan:
         gap = self.predicted_gap
         return tuple(lo + k * gap for k in range(self.predicted_level_count))
 
-    def predicted_spectrum(self, max_levels: int = 1 << 16) -> EffectiveSpectrum:
-        return EffectiveSpectrum.from_levels(self.predicted_levels(max_levels))
-
     def enumerate_levels(self, tolerances: Tolerances = DEFAULT_TOLERANCES
                          ) -> tuple[Number, ...]:
         """The exact level set over the plan's protected domain.

@@ -21,7 +21,9 @@ import numpy as np
 
 from .bayes import FlatPrior, GaussianPrior
 from .config import DEFAULT_TOLERANCES, Tolerances
-from .control import EffectiveSpectrum, enumerate_dfs_configs
+from .control import (EffectiveSpectrum, _dfs_rows, _merge_levels, _spin_configs,
+                      _spins, sign_matched_anchor)
+from .control import enumerate_dfs_configs  # noqa: F401  perfbench/child.py wraps this name
 from .errors import ScenarioError
 from .fields import NoiseModel, SensorArray, SpatialField, orthogonal_complement, sample_field
 from .montecarlo import MIN_TRIALS, DephasingChannel
@@ -426,12 +428,12 @@ def build_scenario(scenario: Scenario,
         spectrum = EffectiveSpectrum.from_levels(levels,
                                                  tolerances=tolerances)
     else:
-        configs = enumerate_dfs_configs(array, noise, f_perp=f_perp,
-                                        tolerances=tolerances)
-        sv = signal.vector
-        levels = [float(sv @ np.asarray(c, dtype=float)) for c in configs]
-        spectrum = EffectiveSpectrum.from_levels(levels, configs,
-                                                 tolerances=tolerances)
+        # rows come lexicographically, so each level reports its
+        # lexicographically first configuration; only those L are built
+        rows = _dfs_rows(array, noise, sign_matched_anchor(array, f_perp), tolerances)
+        values = np.vecdot(_spins(array, rows), signal.vector).tolist()
+        levels, first = _merge_levels(values, tolerances)
+        spectrum = EffectiveSpectrum(levels, tuple(_spin_configs(array, rows[first])))
 
     channel = None
     if noise.K > 0:

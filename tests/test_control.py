@@ -110,6 +110,13 @@ def test_ladder_probe_rejects_odd_rung_count():
     assert plan0.spectrum.L == 1
 
 
+def test_from_levels_reports_first_given_config():
+    a, b, c = (SpinConfig((Fraction(k, 2),)) for k in (1, -1, 0))
+    sp = EffectiveSpectrum.from_levels([1.0 + 1e-15, 1.0, 0.0], [a, b, c])
+    assert sp.levels == (0.0, 1.0)   # a merged level keeps its smallest value
+    assert sp.configs == (c, a)
+
+
 # -------------------------------------------------------------- enumeration
 
 def test_enumerate_uniform_noise_qubits():

@@ -8,7 +8,7 @@ import pytest
 
 from dfs_sense import (DephasingChannel, EffectiveSpectrum, FlatPrior,
                        GaussianPrior, InsufficientTime, berry_wiseman_probe,
-                       damping_matrix, dephase_coherence, empirical_holevo,
+                       dephase_coherence, empirical_holevo,
                        ghz_probe, mc_dephase_check, montecarlo,
                        run_estimation_trials, simulate_adaptive,
                        simulate_fixed_time)
@@ -71,29 +71,23 @@ def test_multi_channel_product():
     assert dephase_coherence(ch, a, b) == pytest.approx(want, rel=1e-14)
 
 
-def test_damping_matrix_symmetry():
+def test_dephase_coherence_bounds_and_snap():
     ch = DephasingChannel.gaussian([(1.0, -1.0, 0.5)], sigmas=(0.7,))
-    configs = [(0.5, 0.5, 0.5), (0.5, -0.5, 0.5), (-0.5, 0.5, -0.5)]
-    m = damping_matrix(ch, configs)
-    assert np.allclose(m, m.T)
-    assert np.all(np.diag(m) == 1.0)
-    assert np.all((0 < m) & (m <= 1))
-    # every entry is dephase_coherence, protected pairs snapped to exactly 1.0
     mixed = DephasingChannel(((1 / 3, 1 / 3, 1 / 3), (1.0, -1.0, 0.0)),
                              (1e6, 0.4), ("gaussian", "uniform"))
-    more = configs + [(0.5, -0.5, -0.5), (1.0, 0.0, -1.0), (0.5, 0.5, -0.5),
-                      (0.0, 0.0, 0.5)]  # the last two: a protected pair
-    for channel in (ch, mixed):
-        m = damping_matrix(channel, more)
-        for i, a in enumerate(more):
-            for j, b in enumerate(more):
-                want = dephase_coherence(channel, a, b)
-                if want == 1.0:
-                    assert m[i, j] == 1.0
-                else:
-                    assert m[i, j] == pytest.approx(want, rel=1e-14, abs=1e-300)
-    assert np.count_nonzero(damping_matrix(mixed, more) == 1.0) > len(more)
-    assert damping_matrix(ch, []).shape == (0, 0)
+    configs = [(0.5, 0.5, 0.5), (0.5, -0.5, 0.5), (-0.5, 0.5, -0.5),
+               (0.5, -0.5, -0.5), (1.0, 0.0, -1.0), (0.5, 0.5, -0.5),
+               (0.0, 0.0, 0.5)]  # the last two: a protected pair of mixed
+    for a in configs:
+        assert dephase_coherence(ch, a, a) == dephase_coherence(mixed, a, a) == 1.0
+        for b in configs:
+            d = dephase_coherence(ch, a, b)
+            assert 0 < d <= 1 and d == dephase_coherence(ch, b, a)
+    # the float-dust channel (1/3, 1/3, 1/3) snaps protected pairs to 1.0
+    protected = [(a, b) for a in configs for b in configs
+                 if a != b and dephase_coherence(mixed, a, b) == 1.0]
+    assert ((0.5, 0.5, -0.5), (0.0, 0.0, 0.5)) in protected
+    assert ((0.5, 0.5, 0.5), (0.5, -0.5, 0.5)) not in protected
 
 
 def test_mc_dephase_check_agrees():

@@ -1,13 +1,16 @@
 """Scenario documents and the command-line interface."""
 
+import bisect
+import itertools
 import json
 import math
 
 import numpy as np
 import pytest
 
-from dfs_sense import (ScenarioError, build_scenario, ghz_reduction,
-                       load_scenario, parse_scenario, run_scenario)
+from dfs_sense import (EffectiveSpectrum, ScenarioError, build_scenario,
+                       enumerate_dfs_configs, ghz_reduction, load_scenario,
+                       parse_scenario, run_scenario, sign_matched_anchor)
 from dfs_sense import cli
 
 
@@ -159,6 +162,50 @@ def test_build_no_noise_keeps_full_signal():
     # signal (1,2,3,4) over spins +-1/2 spans sums -5..5 in unit steps
     assert built.spectrum.L == 11
     assert np.allclose(built.spectrum.levels_float, np.arange(-5.0, 6.0))
+
+
+def _line_doc(J, quanta, noise):
+    """A gradient signal on J sites at irregular positions, so that levels
+    carry float rounding."""
+    return _base_doc(array={"positions": [0.3 + 0.71 * j for j in range(J)],
+                            "quanta_per_site": [quanta] * J},
+                     signal={"profile": "gradient", "amplitude": 1.37},
+                     noise=noise)
+
+
+def test_build_reports_lexicographically_first_config():
+    built = build_scenario(parse_scenario(
+        _line_doc(10, 3, [{"profile": "constant"}])))
+    sp = built.spectrum
+    total = sum(sign_matched_anchor(built.array, built.f_perp).s)
+    sv = built.signal.vector
+    first = {}
+    # itertools.product walks the ascending ladders lexicographically;
+    # constant noise protects exactly the configurations of the anchor's total
+    for c in itertools.product((-1.0, 0.0, 1.0), repeat=10):
+        if sum(c) == total:
+            level = float(sv @ np.asarray(c))
+            first.setdefault(bisect.bisect_right(sp.levels, level) - 1, c)
+    assert sorted(first) == list(range(sp.L))
+    assert [tuple(np.asarray(c, dtype=float)) for c in sp.configs] == \
+        [first[k] for k in range(sp.L)]
+
+
+_SECOND_NOISE = {"profile": "power_law", "alpha": 1.0, "source": -1.3}
+
+
+@pytest.mark.parametrize("J, quanta, K", [
+    (9, 2, 0), (9, 2, 1), (9, 2, 2), (17, 2, 1), (17, 2, 2),
+    (6, 3, 0), (6, 3, 1), (6, 3, 2)])
+def test_build_levels_match_per_configuration_products(J, quanta, K):
+    noise = [{"profile": "constant"}, _SECOND_NOISE][:K]
+    built = build_scenario(parse_scenario(_line_doc(J, quanta, noise)))
+    configs = enumerate_dfs_configs(built.array, built.noise, f_perp=built.f_perp)
+    sv = built.signal.vector
+    want = EffectiveSpectrum.from_levels(
+        [float(sv @ np.asarray(c, dtype=float)) for c in configs], configs)
+    got = np.asarray(built.spectrum.levels)
+    assert got.view(np.int64).tolist() == np.asarray(want.levels).view(np.int64).tolist()
 
 
 def test_build_power_law_source_collision():
