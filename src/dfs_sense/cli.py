@@ -312,26 +312,22 @@ def cmd_dfs_check(args) -> dict:
         raise ValueError("fewer than two protected configurations")
     trials = args.trials if args.trials is not None else sc.trials
     seed = args.seed if args.seed is not None else sc.seed
-    pairs = [(i, i + 1) for i in range(min(len(configs) - 1, 20))]
-    if (0, len(configs) - 1) not in pairs and len(configs) > 2:
-        pairs.append((0, len(configs) - 1))
-    rows = []
-    for k, (i, j) in enumerate(pairs):
-        a, b = configs[i], configs[j]
-        chk = mc_dephase_check(built.channel, a, b, trials=trials,
-                               seed=seed + k)
-        rows.append({"pair": f"{i}-{j}", "protected": True,
-                     "analytic": chk.analytic, "empirical": chk.empirical,
-                     "stderr": chk.stderr, "z": chk.z_score})
+    index = [(i, i + 1) for i in range(min(len(configs) - 1, 20))]
+    if (0, len(configs) - 1) not in index and len(configs) > 2:
+        index.append((0, len(configs) - 1))
+    labels = [f"{i}-{j}" for i, j in index]
+    pairs = [(configs[i], configs[j]) for i, j in index]
     # contrast row: perturb one site of the first configuration off the
     # protected class, if the site ladder allows it
     contrast = _contrast_config(built, configs[0])
     if contrast is not None:
-        chk = mc_dephase_check(built.channel, configs[0], contrast,
-                               trials=trials, seed=seed + len(pairs))
-        rows.append({"pair": "contrast", "protected": False,
-                     "analytic": chk.analytic, "empirical": chk.empirical,
-                     "stderr": chk.stderr, "z": chk.z_score})
+        labels.append("contrast")
+        pairs.append((configs[0], contrast))
+    checks = mc_dephase_check(built.channel, pairs, trials=trials, seed=seed)
+    rows = [{"pair": label, "protected": label != "contrast",
+             "analytic": chk.analytic, "empirical": chk.empirical,
+             "stderr": chk.stderr, "z": chk.z_score}
+            for label, chk in zip(labels, checks)]
     comments = [
         "formula: analytic = prod_k E[exp(i chi_k f_k . (a - b))]",
         "protected pairs must show damping exactly 1; the contrast row "

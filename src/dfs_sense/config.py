@@ -49,21 +49,15 @@ class Tolerances:
 DEFAULT_TOLERANCES = Tolerances()
 
 
-def worker_count(trials: int | None = None, chunk: int = 4096) -> int:
+def worker_count() -> int:
     """Resolve the Monte-Carlo worker count.
 
     DFS_SENSE_THREADS caps the pool; unset falls back to os.cpu_count().
-    The count never exceeds the number of chunks so tiny runs stay serial.
     """
     env = os.environ.get(THREADS_ENV_VAR, "").strip()
     if env:
         try:
-            cap = max(1, int(env))
+            return max(1, int(env))
         except ValueError:
-            cap = 1
-    else:
-        cap = os.cpu_count() or 1
-    if trials is not None:
-        chunks = max(1, -(-trials // chunk))
-        cap = min(cap, chunks)
-    return max(1, cap)
+            return 1
+    return os.cpu_count() or 1

@@ -54,13 +54,14 @@ def _run_chunked(trials: int, seed: int, chunk_fn, threads: int | None = None):
         raise ValueError(f"trials must be at least {MIN_TRIALS}")
     jobs = [(idx, start, min(_CHUNK, trials - start))
             for idx, start in enumerate(range(0, trials, _CHUNK))]
-    workers = worker_count(trials) if threads is None else max(1, threads)
+    workers = min(worker_count() if threads is None else max(1, threads),
+                  len(jobs))
 
     def work(job):
         idx, start, size = job
         return _moments(chunk_fn(_stream(seed, (1 << 32) + idx), size, start))
 
-    if workers <= 1 or len(jobs) <= 1:
+    if workers <= 1:
         return reduce(_merge, map(work, jobs))
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return reduce(_merge, pool.map(work, jobs))
@@ -144,34 +145,41 @@ class DephaseCheck:
     seed: int
 
 
-def mc_dephase_check(channel: DephasingChannel, config_a, config_b,
-                     trials: int = 100_000, seed: int = 0) -> DephaseCheck:
-    """Empirical coherence damping from sampled phases vs the analytic value.
+def mc_dephase_check(channel: DephasingChannel, pairs, trials: int = 100_000,
+                     seed: int = 0) -> list[DephaseCheck]:
+    """Empirical coherence damping of each (a, b) pair vs its analytic value.
 
-    Draws chi_k per trial, accumulates cos(sum_k chi_k a_k) (the imaginary
-    part vanishes in expectation for the symmetric distributions used).
+    One draw of chi_k per trial serves every pair, as one collective noise
+    realization hits every configuration: column p accumulates
+    cos(sum_k chi_k f_k . (a_p - b_p)) (the imaginary part vanishes in
+    expectation for the symmetric distributions used).
     """
-    ds = np.asarray(config_a, dtype=float) - np.asarray(config_b, dtype=float)
-    proj = np.array([float(np.asarray(f, dtype=float) @ ds)
-                     for f in channel.fields])
-    analytic = dephase_coherence(channel, config_a, config_b)
+    fvs = [np.asarray(f, dtype=float) for f in channel.fields]
+    ds = [np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
+          for a, b in pairs]
+    # proj[k, p] = f_k . (a_p - b_p), one vector dot each
+    proj = np.array([[float(fv @ d) for d in ds] for fv in fvs])
 
     def chunk_fn(rng, size, _start):
-        total = np.zeros(size)
+        total = np.zeros((len(ds), size))
         for a, sig, kind in zip(proj, channel.sigmas, channel.kinds):
             if kind == "gaussian":
                 chi = rng.normal(0.0, sig, size)
             else:
                 chi = rng.uniform(-math.pi * sig, math.pi * sig, size)
-            total += chi * a
-        return (np.cos(total),)
+            total += chi * a[:, None]
+        return np.cos(total)
 
-    n, (mean,), com = _run_chunked(trials, seed, chunk_fn)
-    se = math.sqrt(com[0, 0]) / n  # population variance com / n, as always
-    z = 0.0 if se == 0 else (mean - analytic) / se
-    return DephaseCheck(analytic=analytic, empirical=float(mean),
-                        stderr=float(se), z_score=float(z),
-                        trials=trials, seed=seed)
+    n, mean, com = _run_chunked(trials, seed, chunk_fn)
+    out = []
+    for (a, b), m, c in zip(pairs, mean, np.diagonal(com)):
+        analytic = dephase_coherence(channel, a, b)
+        se = math.sqrt(c) / n  # population variance c / n, as always
+        z = 0.0 if se == 0 else (m - analytic) / se
+        out.append(DephaseCheck(analytic=analytic, empirical=float(m),
+                                stderr=float(se), z_score=float(z),
+                                trials=trials, seed=seed))
+    return out
 
 
 # ---------------------------------------------------------------------------

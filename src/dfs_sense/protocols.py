@@ -107,7 +107,6 @@ def _require_linear(spectrum: EffectiveSpectrum, tolerances: Tolerances):
 def single_shot_flat(spectrum: EffectiveSpectrum, width: float,
                      lower: float = 0.0, probe=None, simulate: bool = False,
                      trials: int = 100_000, seed: int = 0,
-                     threads: int | None = None,
                      tolerances: Tolerances = DEFAULT_TOLERANCES
                      ) -> ProtocolReport:
     """One interrogation of length t1 under a flat prior of the given width.
@@ -134,8 +133,7 @@ def single_shot_flat(spectrum: EffectiveSpectrum, width: float,
     if simulate:
         p = _resolve_probe(probe, spectrum)
         sim = run_estimation_trials(p, spectrum, FlatPrior(width, lower), t1,
-                                    trials, seed, threads=threads,
-                                    tolerances=tolerances)
+                                    trials, seed, tolerances=tolerances)
     return ProtocolReport(kind="single_shot_flat", predictions=preds,
                           resources=resources, simulation=sim)
 
@@ -143,8 +141,7 @@ def single_shot_flat(spectrum: EffectiveSpectrum, width: float,
 def repeat_protocol(spectrum: EffectiveSpectrum, width: float,
                     total_time: float, lower: float = 0.0, probe=None,
                     simulate: bool = False, trials: int = 100_000,
-                    seed: int = 0, threads: int | None = None,
-                    tolerances: Tolerances = DEFAULT_TOLERANCES
+                    seed: int = 0, tolerances: Tolerances = DEFAULT_TOLERANCES
                     ) -> ProtocolReport:
     """nu = floor(T/t1) independent shots, combined without prior updates.
 
@@ -174,8 +171,7 @@ def repeat_protocol(spectrum: EffectiveSpectrum, width: float,
     if simulate:
         p = _resolve_probe(probe, spectrum)
         sim = run_estimation_trials(p, spectrum, FlatPrior(width, lower), t1,
-                                    trials, seed, nu=nu, threads=threads,
-                                    tolerances=tolerances)
+                                    trials, seed, nu=nu, tolerances=tolerances)
     return ProtocolReport(kind="repeat", predictions=preds,
                           resources=resources, simulation=sim)
 
@@ -183,7 +179,7 @@ def repeat_protocol(spectrum: EffectiveSpectrum, width: float,
 def adaptive_schedule(spectrum: EffectiveSpectrum, width: float,
                       total_time: float, lower: float = 0.0, probe=None,
                       simulate: bool = False, trials: int = 100_000,
-                      seed: int = 0, threads: int | None = None,
+                      seed: int = 0,
                       tolerances: Tolerances = DEFAULT_TOLERANCES
                       ) -> ProtocolReport:
     """Shrinking-window schedule: each round narrows the prior by 2L.
@@ -228,7 +224,7 @@ def adaptive_schedule(spectrum: EffectiveSpectrum, width: float,
     if simulate:
         pr = _resolve_probe(probe, spectrum)
         sim = simulate_adaptive(pr, spectrum, FlatPrior(width, lower),
-                                widths, times, trials, seed, threads=threads,
+                                widths, times, trials, seed,
                                 tolerances=tolerances)
     return ProtocolReport(kind="adaptive", predictions=preds,
                           resources=resources,
@@ -250,7 +246,6 @@ def classify_regime(x: float, L: int,
 def fixed_time_single_shot(spectrum: EffectiveSpectrum, prior: GaussianPrior,
                            t: float, probe=None, simulate: bool = False,
                            trials: int = 100_000, seed: int = 0,
-                           threads: int | None = None,
                            tolerances: Tolerances = DEFAULT_TOLERANCES
                            ) -> ProtocolReport:
     """Single interrogation of a fixed length under a Gaussian prior.
@@ -291,13 +286,14 @@ def fixed_time_single_shot(spectrum: EffectiveSpectrum, prior: GaussianPrior,
         recommendation = ("x sits between the small-angle and sine-window "
                           "operating points; nearest optimum is the sine "
                           "window at x = L - 1")
+    # an extremal pair is the GHZ probe (sine and uniform are too at L = 2)
+    name = probe if isinstance(probe, str) else "custom"
     resources = {"t": t, "x": x, "L": L, "Delta": spectrum.Delta,
-                 "width": prior.width, "probe": "ghz" if is_extremal else "sine"}
+                 "width": prior.width, "probe": "ghz" if is_extremal else name}
     sim = None
     if simulate:
         sim = simulate_fixed_time(pstate, spectrum, prior.mean, prior.width,
-                                  t, trials, seed, threads=threads,
-                                  tolerances=tolerances)
+                                  t, trials, seed, tolerances=tolerances)
     return ProtocolReport(kind="fixed_time", predictions=tuple(preds),
                           resources=resources, regime=regime,
                           recommendation=recommendation, simulation=sim)

@@ -448,7 +448,6 @@ def build_scenario(scenario: Scenario,
 
 def run_scenario(built: BuiltScenario, simulate: bool = False,
                  trials: int | None = None, seed: int | None = None,
-                 threads: int | None = None,
                  tolerances: Tolerances = DEFAULT_TOLERANCES
                  ) -> protocols.ProtocolReport:
     """Dispatch the scenario's protocol over its effective spectrum."""
@@ -457,7 +456,7 @@ def run_scenario(built: BuiltScenario, simulate: bool = False,
     seed = sc.seed if seed is None else seed
     spec = sc.protocol
     common = dict(probe=spec.probe, simulate=simulate, trials=trials,
-                  seed=seed, threads=threads, tolerances=tolerances)
+                  seed=seed, tolerances=tolerances)
     if spec.kind == "single_shot_flat":
         return protocols.single_shot_flat(built.spectrum, sc.prior.width,
                                           sc.prior.lower, **common)

@@ -293,7 +293,7 @@ def test_criterion_08_dephasing_analytic_and_monte_carlo():
         analytic = dephase_coherence(ch, a, b)
         if analytic != 1.0:
             bad.append((k, "protected analytic", analytic))
-        chk = mc_dephase_check(ch, a, b, trials=20_000, seed=1000 + k)
+        chk, = mc_dephase_check(ch, [(a, b)], trials=20_000, seed=1000 + k)
         if abs(chk.empirical - 1.0) > 4.0 * max(chk.stderr, 1e-15):
             bad.append((k, "protected MC", chk.empirical, chk.stderr))
 
@@ -312,7 +312,7 @@ def test_criterion_08_dephasing_analytic_and_monte_carlo():
         law = math.exp(-0.5 * float(np.sum(sigmas ** 2 * projs ** 2)))
         if abs(analytic - law) > 1e-12 * law:
             bad.append((k, "law", analytic, law))
-        chk = mc_dephase_check(ch, a, b, trials=20_000, seed=2000 + k)
+        chk, = mc_dephase_check(ch, [(a, b)], trials=20_000, seed=2000 + k)
         if abs(chk.empirical - law) > 4.0 * max(chk.stderr, 1e-15):
             bad.append((k, "unprotected MC", chk.empirical, law, chk.stderr))
 

@@ -92,19 +92,57 @@ def test_dephase_coherence_bounds_and_snap():
 
 def test_mc_dephase_check_agrees():
     ch = DephasingChannel.gaussian([(1.0, 1.0)], sigmas=(0.6,))
-    chk = mc_dephase_check(ch, (0.5, 0.5), (-0.5, -0.5), trials=100_000, seed=2)
+    chk = mc_dephase_check(ch, [((0.5, 0.5), (-0.5, -0.5))], trials=100_000,
+                           seed=2)[0]
     assert abs(chk.z_score) < 4.0
     assert chk.analytic == pytest.approx(math.exp(-0.5 * (0.6 * 2) ** 2), rel=1e-12)
     # protected pair: zero-variance estimator, exact agreement
-    chk0 = mc_dephase_check(ch, (0.5, -0.5), (-0.5, 0.5), trials=1000, seed=0)
+    chk0 = mc_dephase_check(ch, [((0.5, -0.5), (-0.5, 0.5))], trials=1000,
+                            seed=0)[0]
     assert chk0.analytic == 1.0 and chk0.empirical == 1.0 and chk0.z_score == 0.0
 
 
 def test_mc_dephase_check_uniform_kind():
     ch = DephasingChannel(((1.0, 1.0),), (0.5,), ("uniform",))
-    chk = mc_dephase_check(ch, (0.5, 0.5), (-0.5, -0.5), trials=200_000, seed=5)
+    chk = mc_dephase_check(ch, [((0.5, 0.5), (-0.5, -0.5))], trials=200_000,
+                           seed=5)[0]
     assert chk.analytic == pytest.approx(float(np.sinc(1.0)), rel=1e-12)
     assert abs(chk.z_score) < 4.0
+
+
+def _mixed_channel_pairs():
+    """Two Gaussian and one uniform channel; protected and damped pairs."""
+    ch = DephasingChannel(((1.0, 1.0, 1.0, 1.0), (1.0, -1.0, 0.0, 0.0),
+                           (0.0, 0.0, 1.0, -1.0)),
+                          (0.4, 0.3, 0.2), ("gaussian", "uniform", "gaussian"))
+    pairs = [((0.5, 0.5, -0.5, -0.5), (-0.5, -0.5, 0.5, 0.5)),
+             ((0.5, 0.5, 0.5, 0.5), (-0.5, -0.5, -0.5, -0.5)),
+             ((0.5, -0.5, 0.5, 0.5), (-0.5, 0.5, 0.5, 0.5)),
+             ((1.0, 0.0, -1.0, 0.0), (0.0, 0.0, 0.0, 0.0))]
+    return ch, pairs
+
+
+def test_mc_dephase_check_pairs_share_one_draw():
+    ch, pairs = _mixed_channel_pairs()
+    together = mc_dephase_check(ch, pairs, trials=10_000, seed=4)
+    assert len(together) == len(pairs)
+    for pair, chk in zip(pairs, together):
+        alone, = mc_dephase_check(ch, [pair], trials=10_000, seed=4)
+        assert chk.analytic == alone.analytic
+        for key in ("empirical", "stderr", "z_score"):
+            a, b = getattr(chk, key), getattr(alone, key)
+            assert a == pytest.approx(b, rel=1e-12, abs=1e-300), key
+    assert together[0].analytic == 1.0 and together[0].stderr == 0.0
+    assert all(chk.analytic < 1.0 for chk in together[1:])
+
+
+def test_mc_dephase_check_bit_identical_across_threads(monkeypatch):
+    ch, pairs = _mixed_channel_pairs()
+    runs = []
+    for threads in ("1", "4"):
+        monkeypatch.setenv("DFS_SENSE_THREADS", threads)
+        runs.append(mc_dephase_check(ch, pairs, trials=20_000, seed=9))
+    assert runs[0] == runs[1]
 
 
 # ------------------------------------------------------- estimation trials

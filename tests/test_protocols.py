@@ -225,6 +225,17 @@ def test_fixed_time_sine_regime():
     assert 0 < red < 1
 
 
+def test_fixed_time_reports_the_probe_it_evaluates():
+    sp = _linear(16, 1.0)
+    prior = GaussianPrior(0.5)
+    for probe in ("uniform", "sine", "ghz"):
+        rep = fixed_time_single_shot(sp, prior, t=10.0, probe=probe)
+        assert rep.resources["probe"] == probe
+    # the regime's own choice keeps its label
+    assert fixed_time_single_shot(sp, prior, t=10.0).resources["probe"] == "sine"
+    assert fixed_time_single_shot(sp, prior, t=1e-3).resources["probe"] == "ghz"
+
+
 def test_fixed_time_over_rotation_warns():
     sp = _linear(4, 2.0)
     prior = GaussianPrior(1.0)

@@ -468,6 +468,29 @@ def test_cli_dfs_check(tmp_path, capsys):
         assert abs(r["z"]) < 5.0
 
 
+def test_cli_dfs_check_one_pass_at_any_thread_count(tmp_path, capsys,
+                                                   monkeypatch):
+    from dfs_sense import montecarlo
+    pools = []
+
+    class CountingPool(montecarlo.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", CountingPool)
+    path = _write(tmp_path, _base_doc(trials=20_000))
+    out = []
+    for threads in ("1", "4"):
+        monkeypatch.setenv("DFS_SENSE_THREADS", threads)
+        pools.clear()
+        assert cli.main(["dfs-check", "--scenario", path]) == 0
+        out.append(capsys.readouterr().out)
+        assert len(pools) <= 1
+    assert out[0] == out[1]
+    assert len(out[0].splitlines()) > 5  # comments, header, several pairs
+
+
 def test_cli_dfs_check_requires_noise(tmp_path, capsys):
     doc = _base_doc(noise=[])
     rc = cli.main(["dfs-check", "--scenario", _write(tmp_path, doc)])
