@@ -358,21 +358,14 @@ def analytic_sharpness(amplitudes_or_rho) -> float:
     return float(abs(np.trace(x, offset=-1)))
 
 
-def holevo_variance(amplitudes_or_rho=None, samples: np.ndarray | None = None,
-                    true_phase: float | np.ndarray = 0.0) -> float:
-    """Circular spread measure S^-2 - 1.
+def holevo_variance(amplitudes_or_rho) -> float:
+    """Circular spread measure S^-2 - 1 of the canonical measurement.
 
-    Analytic path (amplitudes or density given): S is the adjacent-level
-    sharpness, exact for the canonical measurement on a unit-gap ladder.
-    Empirical path (samples given): S = |mean exp(i (theta - true_phase))|.
-    Zero sharpness returns inf (flagged, not raised).
+    S is the adjacent-level sharpness, exact on a unit-gap ladder; sampled
+    residuals go through empirical_holevo. Zero sharpness returns inf
+    (flagged, not raised).
     """
-    if samples is not None:
-        s = abs(np.mean(np.exp(1j * (np.asarray(samples) - true_phase))))
-    elif amplitudes_or_rho is not None:
-        s = analytic_sharpness(amplitudes_or_rho)
-    else:
-        raise ValueError("give amplitudes/density or samples")
+    s = analytic_sharpness(amplitudes_or_rho)
     if s == 0.0:
         return math.inf
     return 1.0 / (s * s) - 1.0

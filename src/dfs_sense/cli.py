@@ -140,8 +140,9 @@ def cmd_table1(args) -> dict:
         "formula: two_point range = N (conventional units), levels = N/2",
         "formula: linear range = N^2/(4(N-1)), levels = N^2/4",
         "formula: exponential range = 2(1 - 2^(-N/2)), levels = 2^(N/2)",
-        "enum_* columns re-derive range and level count by brute force "
-        "over each family's protected domain",
+        "enum_* columns are the closed-form predicted range and level "
+        "count, which enumerate_levels reproduces over each family's "
+        "protected domain",
     ]
     return {"comments": comments, "meta": {}, "rows": rows}
 

@@ -17,7 +17,7 @@ import numpy as np
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import Degenerate, NoSignalComponent, TooLarge, Unreachable
 from .fields import (Number, NoiseModel, SensorArray, SpatialField, _as_vector,
-                     _exact, _exactable)
+                     _exactable, _numbers)
 
 
 @dataclass(frozen=True)
@@ -49,8 +49,9 @@ class FlipSchedule:
     def __post_init__(self):
         if self.start_sign not in (-1, 1):
             raise ValueError("start_sign must be +-1")
-        fr = [float(f) for f in self.flip_fractions]
-        if any(not (0.0 < f < 1.0) for f in fr):
+        # compared as given: a Fraction just below 1 may round to 1.0
+        fr = self.flip_fractions
+        if any(not (0 < f < 1) for f in fr):
             raise ValueError("flip fractions must lie strictly inside (0, 1)")
         if any(b <= a for a, b in zip(fr, fr[1:])):
             raise ValueError("flip fractions must be strictly ascending")
@@ -95,13 +96,11 @@ def flip_schedule_for(target: Number, local_max: Number) -> FlipSchedule:
     if abs(float(target)) > float(local_max):
         raise Unreachable(
             f"target {float(target)} exceeds the physical spin {float(local_max)}")
-    if _exactable(target, local_max):
-        alpha = (_exact(target) + _exact(local_max)) / (2 * _exact(local_max))
-    else:
-        alpha = (float(target) + float(local_max)) / (2.0 * float(local_max))
-    if float(alpha) >= 1.0:
+    t, m = _numbers(target, local_max)
+    alpha = (t + m) / (2 * m)
+    if alpha >= 1:
         return FlipSchedule((), +1, local_max)
-    if float(alpha) <= 0.0:
+    if alpha <= 0:
         return FlipSchedule((), -1, local_max)
     return FlipSchedule((alpha,), +1, local_max)
 
@@ -205,18 +204,12 @@ def ladder_probe(f_perp: SpatialField, n: int) -> LadderPlan:
     """
     if n < 0 or n % 2 != 0:
         raise ValueError("n must be a nonnegative even integer")
-    vec = f_perp.vector
-    if not np.any(vec != 0.0):
+    if not np.any(f_perp.vector != 0.0):
         raise NoSignalComponent("f_perp is zero")
-    fvals = list(f_perp.values)
-    if _exactable(*fvals):
-        fvals = [_exact(v) for v in fvals]
-        fmax = max(abs(v) for v in fvals)
-        norm2 = sum(v * v for v in fvals)
-    else:
-        fvals = [float(v) for v in fvals]
-        fmax = max(abs(v) for v in fvals)
-        norm2 = float(vec @ vec)
+    # the top rung's spin scale n/2 is exact, so it follows f_perp's kind
+    half_n, *fvals = _numbers(Fraction(n, 2), *f_perp.values)
+    fmax = max(abs(v) for v in fvals)
+    norm2 = sum(v * v for v in fvals)
 
     configs = []
     levels = []
@@ -228,7 +221,6 @@ def ladder_probe(f_perp: SpatialField, n: int) -> LadderPlan:
 
     schedules = []
     dims = []
-    half_n = Fraction(n, 2) if _exactable(*fvals) else n / 2
     for v in fvals:
         if n == 0:
             schedules.append(FlipSchedule((), +1, Fraction(1, 2)))
@@ -338,12 +330,7 @@ def equalize_multidim(f_perp: SpatialField | Sequence[Number],
         raise Degenerate("first effective component vanishes; ratio condition unsolvable")
     if float(f2) == 0.0:
         raise Degenerate("second effective component vanishes; levels collapse to two")
-    if _exactable(f1, f2):
-        f1, f2 = _exact(f1), _exact(f2)
-        half = Fraction(1, 2)
-    else:
-        f1, f2 = float(f1), float(f2)
-        half = 0.5
+    f1, f2, half = _numbers(f1, f2, Fraction(1, 2))
     s_eff = f2 / (4 * f1)
     configs = [SpinConfig((a * s_eff, b * half)) for a in (+1, -1) for b in (+1, -1)]
     levels = [c.s[0] * f1 + c.s[1] * f2 for c in configs]
@@ -385,19 +372,12 @@ def shape_spectrum(base: EffectiveSpectrum, degeneracy: int,
         raise ValueError("degeneracy must be >= 1")
     if len(targets) == 0:
         raise ValueError("at least one target level required")
-    delta = base.Delta
+    delta, *targets = _numbers(base.Delta, *targets)
     half = delta / 2
     for lam in targets:
         if abs(float(lam)) > float(half) * (1 + 1e-15):
             raise Unreachable(f"target {float(lam)} outside [-Delta/2, Delta/2]")
-
-    exact = _exactable(delta, *targets)
-    if exact:
-        delta = _exact(delta)
-        half = delta / 2
-        tlist = sorted({_exact(t) for t in targets})
-    else:
-        tlist = sorted({float(t) for t in targets})
+    tlist = sorted(set(targets))
     symmetric = all(any(abs(float(t) + float(u)) <= 1e-12 * max(1.0, abs(float(t)))
                         for u in tlist) for t in tlist)
     if symmetric:

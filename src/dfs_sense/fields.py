@@ -25,8 +25,11 @@ def _exactable(*values) -> bool:
     return all(isinstance(v, (int, Fraction)) for v in values)
 
 
-def _exact(v: Number) -> Fraction:
-    return v if isinstance(v, Fraction) else Fraction(v)
+def _numbers(*values) -> tuple[Fraction, ...] | tuple[float, ...]:
+    """The values as Fractions when every one is exactable, else as floats,
+    so one formula serves exact and float inputs."""
+    kind = Fraction if _exactable(*values) else float
+    return tuple(kind(v) for v in values)
 
 
 def _as_vector(x) -> np.ndarray:

@@ -48,14 +48,13 @@ def _merge(a, b):
     return n, ma + delta * (nb / n), ca + cb + np.outer(delta, delta) * (na * nb / n)
 
 
-def _run_chunked(trials: int, seed: int, chunk_fn, threads: int | None = None):
+def _run_chunked(trials: int, seed: int, chunk_fn):
     """Merged (n, mean, comoment) of the columns chunk_fn(rng, size, start) returns."""
     if trials < MIN_TRIALS:
         raise ValueError(f"trials must be at least {MIN_TRIALS}")
     jobs = [(idx, start, min(_CHUNK, trials - start))
             for idx, start in enumerate(range(0, trials, _CHUNK))]
-    workers = min(worker_count() if threads is None else max(1, threads),
-                  len(jobs))
+    workers = min(worker_count(), len(jobs))
 
     def work(job):
         idx, start, size = job
@@ -239,7 +238,6 @@ def _base_sampler(probe_or_rho, tolerances: Tolerances) -> CanonicalSampler:
 def run_estimation_trials(probe_or_rho, spectrum: EffectiveSpectrum,
                           prior: FlatPrior, t: float, trials: int, seed: int,
                           nu: int = 1, records: bool = False,
-                          threads: int | None = None,
                           tolerances: Tolerances = DEFAULT_TOLERANCES
                           ) -> EstimationSummary:
     """Flat-prior estimation with the canonical measurement, nu shots per trial.
@@ -291,7 +289,7 @@ def run_estimation_trials(probe_or_rho, spectrum: EffectiveSpectrum,
             rows["outcome"] = np.mod(first + omega * tg, 2 * np.pi)
         return err * err, np.cos(resid), np.sin(resid), resid ** 2
 
-    stats = _run_chunked(trials, seed, chunk_fn, threads)
+    stats = _run_chunked(trials, seed, chunk_fn)
     extra = {"phase_mse": float(stats[1][3]), "window": 2 * np.pi / tg}
     return _summarize("single_shot_flat" if nu == 1 else "repeat", t, seed,
                       stats, nu, extra, recs)
@@ -324,7 +322,7 @@ def _posterior_mean_table(probe_or_rho, gap: float, prior_mean: float,
 
 def simulate_fixed_time(probe_or_rho, spectrum: EffectiveSpectrum,
                         prior_mean: float, prior_width: float, t: float,
-                        trials: int, seed: int, threads: int | None = None,
+                        trials: int, seed: int,
                         tolerances: Tolerances = DEFAULT_TOLERANCES
                         ) -> EstimationSummary:
     """Gaussian-prior estimation at a fixed interrogation time.
@@ -357,7 +355,7 @@ def simulate_fixed_time(probe_or_rho, spectrum: EffectiveSpectrum,
         return err * err, np.cos(resid), np.sin(resid)
 
     out = _summarize("fixed_time", t, seed,
-                     _run_chunked(trials, seed, chunk_fn, threads), 1, {})
+                     _run_chunked(trials, seed, chunk_fn), 1, {})
     out.extra.update(reduction_hat=out.mse / prior_width ** 2,
                      reduction_hat_stderr=out.mse_stderr / prior_width ** 2)
     return out
@@ -366,7 +364,6 @@ def simulate_fixed_time(probe_or_rho, spectrum: EffectiveSpectrum,
 def simulate_adaptive(probe_or_rho, spectrum: EffectiveSpectrum,
                       prior: FlatPrior, widths: tuple[float, ...],
                       times: tuple[float, ...], trials: int, seed: int,
-                      threads: int | None = None,
                       tolerances: Tolerances = DEFAULT_TOLERANCES
                       ) -> EstimationSummary:
     """Run a shrinking-window schedule end to end.
@@ -400,7 +397,7 @@ def simulate_adaptive(probe_or_rho, spectrum: EffectiveSpectrum,
         # a miss: the running window lost the true value
         return err * err, np.cos(resid), np.sin(resid), np.abs(err) > final_w
 
-    stats = _run_chunked(trials, seed, chunk_fn, threads)
+    stats = _run_chunked(trials, seed, chunk_fn)
     extra = {"final_width": final_w,
              "flat_window_variance": final_w ** 2 / 12.0,
              "rounds": len(rounds),

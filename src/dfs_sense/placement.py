@@ -30,8 +30,7 @@ import numpy as np
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .control import EffectiveSpectrum, _reachable_sums
 from .errors import TooLarge, Unreachable
-from .fields import (Number, NoiseModel, SensorArray, SpatialField, _exact,
-                     _exactable)
+from .fields import Number, NoiseModel, SensorArray, SpatialField, _numbers
 
 
 @dataclass(frozen=True)
@@ -190,7 +189,7 @@ def exponential_placement(N: int) -> PlacementPlan:
         pairing=pairing,
         predicted_range=rng,
         predicted_level_count=count,
-        predicted_gap=rng / (count - 1) if count > 1 else Fraction(0),
+        predicted_gap=rng / (count - 1),
         table_range=rng,
         table_level_count=count,
     )
@@ -251,31 +250,26 @@ def arbitrary_linear_placement(profile: Callable[[float], float],
     _even(N)
     if float(a) == 0.0:
         raise ValueError("a must be nonzero")
-    exact = _exactable(a, b)
-    fvals: list[Number] = []
-    for j in range(1, N + 1):
-        step = Fraction(2 * j - 1 - N, 2 * (N - 1))
-        fvals.append((a * step + b) if exact else float(a) * float(step) + float(b))
+    a, b = _numbers(a, b)
+    # a float times a Fraction step multiplies in floats
+    fvals = tuple(a * Fraction(2 * j - 1 - N, 2 * (N - 1)) + b
+                  for j in range(1, N + 1))
     positions = tuple(_invert(profile, inverse, float(f), bracket) for f in fvals)
     if len(set(positions)) != N:
         raise Unreachable("profile inversion produced coincident positions")
-    fperp = tuple(f - b for f in fvals) if exact else \
-        tuple(float(f) - float(b) for f in fvals)
-    mag = abs(a) if exact else abs(float(a))
-    count = N * N // 4 + 1
+    mag = abs(a)
+    rng = mag * N * N / (4 * (N - 1))
     return PlacementPlan(
         family="arbitrary_linear", N=N,
         positions=positions,
         qubit_multiplicity=(1,) * N,
-        signal_values=tuple(fvals),
-        f_perp_values=fperp,
+        signal_values=fvals,
+        f_perp_values=tuple(f - b for f in fvals),
         pairing=None,
-        predicted_range=mag * Fraction(N * N, 4 * (N - 1)) if exact
-        else float(mag) * N * N / (4 * (N - 1)),
-        predicted_level_count=count,
-        predicted_gap=mag * Fraction(1, N - 1) if exact else float(mag) / (N - 1),
-        table_range=mag * Fraction(N * N, 4 * (N - 1)) if exact
-        else float(mag) * N * N / (4 * (N - 1)),
+        predicted_range=rng,
+        predicted_level_count=N * N // 4 + 1,
+        predicted_gap=mag / (N - 1),
+        table_range=rng,
         table_level_count=N * N // 4,
     )
 
@@ -296,39 +290,30 @@ def arbitrary_exponential_placement(profile: Callable[[float], float],
         raise TooLarge("pair patterns beyond N = 48 are not explicitly representable")
     if float(f_max) <= float(f_min):
         raise ValueError("f_max must exceed f_min")
-    exact = _exactable(f_max, f_min)
-    if exact:
-        f_max, f_min = _exact(f_max), _exact(f_min)
+    f_max, f_min = _numbers(f_max, f_min)
     a = f_max - f_min
+    mid = (f_max + f_min) / 2
     half = N // 2
-    f_hi: list[Number] = []
-    f_lo: list[Number] = []
-    for j in range(1, half + 1):
-        spread = a / 2 ** j if exact else float(a) / 2 ** j
-        mid = (f_max + f_min) / 2 if exact else (float(f_max) + float(f_min)) / 2
-        f_hi.append(mid + spread)
-        f_lo.append(mid - spread)
+    spreads = [a / 2 ** j for j in range(1, half + 1)]
     # site order: ascending profile value, pairs mirrored around the middle
-    fvals = tuple(sorted(f_lo, key=float)) + tuple(sorted(f_hi, key=float))
+    fvals = (tuple(sorted((mid - s for s in spreads), key=float))
+             + tuple(sorted((mid + s for s in spreads), key=float)))
     positions = tuple(_invert(profile, inverse, float(f), bracket) for f in fvals)
     if len(set(positions)) != N:
         raise Unreachable("profile inversion produced coincident positions")
-    mean = (f_max + f_min) / 2 if exact else (float(f_max) + float(f_min)) / 2
-    fperp = tuple(f - mean for f in fvals)
-    pairing = tuple((N - 1 - k, k) for k in range(half))
     count = 2 ** half
-    rng = 2 * a * (1 - Fraction(1, count)) if exact \
-        else 2 * float(a) * (1 - 2.0 ** (-half))
+    # a float range times the Fraction 1 - 2^(-N/2) multiplies in floats
+    rng = 2 * a * (1 - Fraction(1, count))
     return PlacementPlan(
         family="arbitrary_exponential", N=N,
         positions=positions,
         qubit_multiplicity=(1,) * N,
         signal_values=fvals,
-        f_perp_values=fperp,
-        pairing=pairing,
+        f_perp_values=tuple(f - mid for f in fvals),
+        pairing=tuple((N - 1 - k, k) for k in range(half)),
         predicted_range=rng,
         predicted_level_count=count,
-        predicted_gap=rng / (count - 1) if count > 1 else (Fraction(0) if exact else 0.0),
+        predicted_gap=rng / (count - 1),
         table_range=rng,
         table_level_count=count,
     )

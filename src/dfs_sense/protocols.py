@@ -270,10 +270,12 @@ def fixed_time_single_shot(spectrum: EffectiveSpectrum, prior: GaussianPrior,
         Prediction("posterior_width", prior.width * math.sqrt(max(red, 0.0)),
                    "W0 sqrt(1 - W0^2 F)"),
     ]
+    # 1 - x^2 exp(-x^2) holds for the equal-weight extremal pair, the GHZ
+    # probe (sine and uniform are too at L = 2)
     amps = np.abs(pstate.vector)
-    is_extremal = (np.count_nonzero(amps > 0) == 2
-                   and amps[0] > 0 and amps[-1] > 0)
-    if is_extremal:
+    is_ghz = (np.count_nonzero(amps > 0) == 2 and amps[0] > 0 and amps[-1] > 0
+              and abs(amps[0] - amps[-1]) <= tolerances.norm_atol)
+    if is_ghz:
         preds.append(Prediction("variance_reduction_closed_form",
                                 ghz_reduction(x), "1 - x^2 exp(-x^2)"))
     recommendation = None
@@ -286,10 +288,9 @@ def fixed_time_single_shot(spectrum: EffectiveSpectrum, prior: GaussianPrior,
         recommendation = ("x sits between the small-angle and sine-window "
                           "operating points; nearest optimum is the sine "
                           "window at x = L - 1")
-    # an extremal pair is the GHZ probe (sine and uniform are too at L = 2)
     name = probe if isinstance(probe, str) else "custom"
     resources = {"t": t, "x": x, "L": L, "Delta": spectrum.Delta,
-                 "width": prior.width, "probe": "ghz" if is_extremal else name}
+                 "width": prior.width, "probe": "ghz" if is_ghz else name}
     sim = None
     if simulate:
         sim = simulate_fixed_time(pstate, spectrum, prior.mean, prior.width,

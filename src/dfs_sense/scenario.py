@@ -388,11 +388,12 @@ def _check_profile_feasible(spec: FieldSpec, array: SensorArray, path: str):
                     f"position ({path})")
 
 
-def _field_for(spec: FieldSpec, array: SensorArray, label: str) -> SpatialField:
+def _field_for(spec: FieldSpec, array: SensorArray, label: str,
+               path: str) -> SpatialField:
     if spec.values is not None:
         if len(spec.values) != array.J:
-            raise ValueError(
-                f"{label}: {len(spec.values)} values for {array.J} sites")
+            raise ScenarioError(
+                f"{len(spec.values)} values for {array.J} sites", f"{path}.values")
         return SpatialField(spec.values, label=label)
     _check_profile_feasible(spec, array, label)
     return sample_field(spec.callable(), array, label=label)
@@ -416,8 +417,8 @@ def build_scenario(scenario: Scenario,
         quanta = scenario.array.quanta_per_site or (2,) * len(scenario.array.positions)
         array = SensorArray(scenario.array.positions, quanta)
 
-    signal = _field_for(scenario.signal, array, "signal")
-    noise_fields = tuple(_field_for(spec, array, f"noise:{k}")
+    signal = _field_for(scenario.signal, array, "signal", "signal")
+    noise_fields = tuple(_field_for(spec, array, f"noise:{k}", f"noise[{k}]")
                          for k, spec in enumerate(scenario.noise))
     noise = NoiseModel(noise_fields)
     f_perp = orthogonal_complement(signal, noise, tolerances)

@@ -6,21 +6,25 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dfs_sense import (Degenerate, EffectiveSpectrum, NoiseModel, SensorArray,
                        SpatialField, SpinConfig, TooLarge, Tolerances,
-                       Unreachable, dfs_condition, effective_signal_gap,
-                       enumerate_dfs_configs, equalize_multidim,
-                       exponential_placement, flip_schedule_for, ladder_probe,
-                       linear_placement, shape_spectrum, sign_matched_anchor)
+                       Unreachable, arbitrary_exponential_placement,
+                       arbitrary_linear_placement, dfs_condition,
+                       effective_signal_gap, enumerate_dfs_configs,
+                       equalize_multidim, exponential_placement,
+                       flip_schedule_for, ladder_probe, linear_placement,
+                       shape_spectrum, sign_matched_anchor)
 
 
 # ---------------------------------------------------------------- schedules
 
 @settings(max_examples=100, deadline=None)
 @given(st.fractions(min_value=-2, max_value=2), st.fractions(min_value=Fraction(1, 4), max_value=2))
+# alpha sits just below 1 but float(alpha) rounds to 1.0
+@example(Fraction(968441951778994739409297705, 484220975889497423463975214), Fraction(2))
 def test_flip_schedule_exact_average(target, smax):
     if abs(target) > smax:
         with pytest.raises(Unreachable):
@@ -250,3 +254,60 @@ def test_shape_spectrum_asymmetric_and_errors():
         shape_spectrum(base, degeneracy=1, targets=[5.0])
     with pytest.raises(ValueError):
         shape_spectrum(EffectiveSpectrum.from_levels([0, 1, 2]), 1, [0.5])
+
+
+# ------------------------------------------------------ exact vs float kind
+
+def _schedule_numbers(sched):
+    return [*sched.flip_fractions, sched.local_max, sched.realized_average()]
+
+
+def _ladder_numbers(c):
+    plan = ladder_probe(SpatialField((c(Fraction(1, 2)), c(Fraction(-1, 3)),
+                                      c(Fraction(1, 5)))), 4)
+    return [*plan.spectrum.levels, *(v for cfg in plan.configs for v in cfg.s),
+            *(x for s in plan.site_schedules for x in _schedule_numbers(s))]
+
+
+def _equalize_numbers(c):
+    s_eff, sp = equalize_multidim((c(Fraction(2, 3)), c(Fraction(3, 7))))
+    return [s_eff, *sp.levels, *(v for cfg in sp.configs for v in cfg.s)]
+
+
+def _shape_numbers(c):
+    base = EffectiveSpectrum.from_levels([c(Fraction(-5, 3)), c(Fraction(5, 3))])
+    shaped = shape_spectrum(base, 3, [c(Fraction(-1, 3)), c(Fraction(6, 7)), c(0)])
+    return [*shaped.spectrum.levels, *shaped.switch_fractions]
+
+
+def _plan_numbers(plan):
+    return [*plan.signal_values, *plan.f_perp_values, plan.predicted_range,
+            plan.predicted_gap, plan.table_range, *plan.predicted_levels()]
+
+
+_CONSTRUCTIONS = {
+    "flip_schedule_for": lambda c: _schedule_numbers(
+        flip_schedule_for(c(Fraction(-2, 7)), c(Fraction(3, 2)))),
+    "ladder_probe": _ladder_numbers,
+    "equalize_multidim": _equalize_numbers,
+    "shape_spectrum": _shape_numbers,
+    "arbitrary_linear_placement": lambda c: _plan_numbers(
+        arbitrary_linear_placement(math.tanh, math.atanh, 6, c(Fraction(-3, 5)),
+                                   c(Fraction(1, 3)))),
+    "arbitrary_exponential_placement": lambda c: _plan_numbers(
+        arbitrary_exponential_placement(math.exp, math.log, c(Fraction(7, 3)),
+                                        c(Fraction(1, 5)), 6)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CONSTRUCTIONS))
+def test_constructions_follow_input_kind(name):
+    """Exact inputs give Fractions, float inputs floats, and the float path
+    is float() of the exact one."""
+    exact = _CONSTRUCTIONS[name](Fraction)
+    floats = _CONSTRUCTIONS[name](float)
+    assert len(exact) == len(floats) >= 3
+    assert all(type(v) is Fraction for v in exact)
+    assert all(type(v) is float for v in floats)
+    for e, f in zip(exact, floats):
+        assert math.isclose(f, float(e), rel_tol=1e-15, abs_tol=0.0), (e, f)

@@ -147,25 +147,24 @@ def test_mc_dephase_check_bit_identical_across_threads(monkeypatch):
 
 # ------------------------------------------------------- estimation trials
 
-def _three_simulations(trials, seed, threads):
+def _three_simulations(trials, seed):
     """The flat, fixed-time and adaptive estimation runs on small ladders."""
     sp = _linear(5, 4.0)
     p = berry_wiseman_probe(5)
     prior = FlatPrior(2 * np.pi)
     return (
-        run_estimation_trials(p, sp, prior, t=1.0, trials=trials, seed=seed,
-                              threads=threads),
-        simulate_fixed_time(p, sp, 0.3, 0.8, t=1.0, trials=trials, seed=seed,
-                            threads=threads),
+        run_estimation_trials(p, sp, prior, t=1.0, trials=trials, seed=seed),
+        simulate_fixed_time(p, sp, 0.3, 0.8, t=1.0, trials=trials, seed=seed),
         simulate_adaptive(p, sp, FlatPrior(1.0), (0.25, 1 / 16),
-                          (2 * np.pi, 8 * np.pi), trials=trials, seed=seed,
-                          threads=threads),
+                          (2 * np.pi, 8 * np.pi), trials=trials, seed=seed),
     )
 
 
-def test_trials_bit_identical_across_threads():
-    one = _three_simulations(20_000, 7, threads=1)
-    four = _three_simulations(20_000, 7, threads=4)
+def test_trials_bit_identical_across_threads(monkeypatch):
+    monkeypatch.setenv("DFS_SENSE_THREADS", "1")
+    one = _three_simulations(20_000, 7)
+    monkeypatch.setenv("DFS_SENSE_THREADS", "4")
+    four = _three_simulations(20_000, 7)
     for a, b in zip(one, four):
         assert a.to_dict() == b.to_dict()
 
@@ -187,12 +186,13 @@ def test_merge_matches_moments_of_joined_columns():
 
 
 @pytest.mark.parametrize("nu", [1, 3])
-def test_merged_summary_matches_records(nu):
+def test_merged_summary_matches_records(nu, monkeypatch):
+    monkeypatch.setenv("DFS_SENSE_THREADS", "2")
     sp = _linear(5, 4.0)
     t = 1.3
     out = run_estimation_trials(berry_wiseman_probe(5), sp, FlatPrior(2.0),
                                 t=t, trials=10_000, seed=4, nu=nu,
-                                records=True, threads=2)
+                                records=True)
     err = out.records["error"]
     sq = err * err
     assert out.mse == pytest.approx(sq.mean(), rel=1e-12)
@@ -231,13 +231,14 @@ def test_summary_memory_flat_in_trials():
         assert peak < 16 * 2 ** 20
 
 
-def test_repeat_memory_flat_in_nu():
+def test_repeat_memory_flat_in_nu(monkeypatch):
+    monkeypatch.setenv("DFS_SENSE_THREADS", "1")
     sp = _linear(5, 4.0)
     p = berry_wiseman_probe(5)
     tracemalloc.start()
     try:
         run_estimation_trials(p, sp, FlatPrior(2 * np.pi), t=1.0, trials=512,
-                              seed=0, nu=10_000, threads=1)
+                              seed=0, nu=10_000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -277,8 +278,9 @@ def test_trial_count_checked_before_chunks(which, trials, monkeypatch):
                               trials=trials, seed=0)
 
 
-def test_two_trials_give_finite_stderrs():
-    for out in _three_simulations(2, 0, threads=1):
+def test_two_trials_give_finite_stderrs(monkeypatch):
+    monkeypatch.setenv("DFS_SENSE_THREADS", "1")
+    for out in _three_simulations(2, 0):
         assert out.trials == 2
         assert math.isfinite(out.mse_stderr)
         assert math.isfinite(out.holevo_stderr)

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dfs_sense import (Degenerate, EffectiveSpectrum, GaussianPrior,
-                       InsufficientTime, NotLinear, adaptive_schedule,
+                       InsufficientTime, NotLinear, ProbeState,
+                       adaptive_schedule,
                        base_time, berry_wiseman_probe, classify_regime,
                        fixed_time_single_shot, ghz_probe, ghz_reduction,
                        repeat_protocol, single_shot_flat)
@@ -234,6 +235,23 @@ def test_fixed_time_reports_the_probe_it_evaluates():
     # the regime's own choice keeps its label
     assert fixed_time_single_shot(sp, prior, t=10.0).resources["probe"] == "sine"
     assert fixed_time_single_shot(sp, prior, t=1e-3).resources["probe"] == "ghz"
+
+
+def test_fixed_time_closed_form_only_for_equal_extremal_weights():
+    sp = _linear(3, 1.0)
+    prior = GaussianPrior(1.0)
+    # x = t W0 Delta = 1: the equal-weight closed form reads 1 - 1/e = 0.632
+    rep = fixed_time_single_shot(sp, prior, t=1.0,
+                                 probe=ProbeState.from_vector([0.8, 0, 0.6]))
+    assert rep.prediction("variance_reduction") == pytest.approx(0.661, abs=1e-3)
+    with pytest.raises(KeyError):
+        rep.prediction("variance_reduction_closed_form")
+    assert rep.resources["probe"] == "custom"
+    rep = fixed_time_single_shot(sp, prior, t=1.0,
+                                 probe=ProbeState.from_vector([1j, 0, 1]))
+    assert rep.resources["probe"] == "ghz"
+    assert rep.prediction("variance_reduction_closed_form") == pytest.approx(
+        rep.prediction("variance_reduction"), rel=1e-12)
 
 
 def test_fixed_time_over_rotation_warns():

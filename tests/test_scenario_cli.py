@@ -310,6 +310,18 @@ def test_cli_exit_2_schema(tmp_path, capsys):
     assert "scenario error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, path", [
+    ("signal", "signal.values"), ("noise", "noise[0].values")])
+def test_cli_exit_2_values_length(tmp_path, capsys, key, path):
+    # three explicit values for the four sites of the base array
+    field = {"values": [1.0, 2.0, 4.0]}
+    doc = _base_doc(**{key: field if key == "signal" else [field]})
+    rc = cli.main(["spectrum", "--scenario", _write(tmp_path, doc)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "scenario error" in err and f"{path}: 3 values for 4 sites" in err
+
+
 def test_cli_exit_2_missing_scenario(capsys):
     rc = cli.main(["spectrum"])
     assert rc == 2
