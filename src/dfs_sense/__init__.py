@@ -15,7 +15,7 @@ from .bayes import (AveragedState, CanonicalSampler, FlatPrior, GaussianPrior,
                     canonical_phase_sample, empirical_holevo, evolve,
                     ghz_probe, holevo_variance, qfi_mixed, qfi_pure,
                     uniform_probe, variance_reduction, wrap_pi)
-from .config import DEFAULT_TOLERANCES, Tolerances, worker_count
+from .config import worker_count
 from .control import (EffectiveSpectrum, FlipSchedule, LadderPlan,
                       ShapedSpectrum, SpinConfig, enumerate_dfs_configs,
                       equalize_multidim, flip_schedule_for, ladder_probe,

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, Tolerances
+from .config import NORM_ATOL, PHASE_GRID_BITS, PSD_FLOOR, SLD_FLOOR
 from .control import EffectiveSpectrum
 from .errors import Degenerate, InvalidState, NotLinear, NumericFailure
 
@@ -63,7 +63,7 @@ class ProbeState:
         if len(v) == 0:
             raise ValueError("empty probe")
         norm = np.linalg.norm(v)
-        if abs(norm - 1.0) > DEFAULT_TOLERANCES.norm_atol * 10:
+        if abs(norm - 1.0) > NORM_ATOL * 10:
             raise ValueError(f"probe not normalized (|norm - 1| = {abs(norm - 1.0):.2e})")
 
     @property
@@ -133,12 +133,12 @@ def evolve(probe: ProbeState, spectrum: EffectiveSpectrum, omega: float,
     return ProbeState(tuple((probe.vector * phases).tolist()))
 
 
-def _check_density(trace: float, lam_min: float, psd_floor: float) -> None:
-    """Unit trace and no eigenvalue below psd_floor, else InvalidState."""
-    if abs(trace - 1.0) > 1e-12 * 10:
+def _check_density(trace: float, lam_min: float) -> None:
+    """Unit trace and no eigenvalue below PSD_FLOOR, else InvalidState."""
+    if abs(trace - 1.0) > NORM_ATOL * 10:
         raise InvalidState("trace(rho) != 1")
-    if lam_min < psd_floor:
-        raise InvalidState(f"eigenvalue {lam_min:.2e} below the floor {psd_floor:.2e}")
+    if lam_min < PSD_FLOOR:
+        raise InvalidState(f"eigenvalue {lam_min:.2e} below the floor {PSD_FLOOR:.2e}")
 
 
 @dataclass(frozen=True)
@@ -153,8 +153,7 @@ class AveragedState:
             raise InvalidState("rho must be square")
         if np.max(np.abs(r - r.conj().T)) > 1e-12 * max(1.0, float(np.max(np.abs(r)))):
             raise InvalidState("rho not Hermitian")
-        _check_density(np.trace(r).real, np.linalg.eigvalsh(r).min(),
-                       DEFAULT_TOLERANCES.psd_floor)
+        _check_density(np.trace(r).real, np.linalg.eigvalsh(r).min())
         object.__setattr__(self, "rho", r)
 
     @property
@@ -163,8 +162,8 @@ class AveragedState:
 
 
 def _averaged_core(probe: ProbeState, prior: GaussianPrior,
-                   spectrum: EffectiveSpectrum, t: float,
-                   tolerances: Tolerances) -> tuple[np.ndarray, np.ndarray]:
+                   spectrum: EffectiveSpectrum, t: float
+                   ) -> tuple[np.ndarray, np.ndarray]:
     """Real core rho_r and phases phi of the averaged state: rho_bar = phi rho_r phi^*.
 
     rho_r = diag|c| K diag|c| with the real Toeplitz damping kernel
@@ -175,7 +174,7 @@ def _averaged_core(probe: ProbeState, prior: GaussianPrior,
     """
     if not isinstance(prior, GaussianPrior):
         raise TypeError("averaged_state requires a Gaussian prior")
-    if not spectrum.is_linear(tolerances):
+    if not spectrum.is_linear():
         raise NotLinear("averaging formula requires uniform level spacing")
     if spectrum.L != probe.L:
         raise ValueError("probe and spectrum level counts differ")
@@ -189,15 +188,14 @@ def _averaged_core(probe: ProbeState, prior: GaussianPrior,
 
 
 def averaged_state(probe: ProbeState, prior: GaussianPrior,
-                   spectrum: EffectiveSpectrum, t: float,
-                   tolerances: Tolerances = DEFAULT_TOLERANCES) -> AveragedState:
+                   spectrum: EffectiveSpectrum, t: float) -> AveragedState:
     """Average exp(-i w t G) rho exp(+i w t G) over the Gaussian prior.
 
     Valid only for uniformly spaced spectra: with gap g the (n, m) coherence
     picks up the prior characteristic function at t g (n - m):
     exp(-i mean t g (n-m)) * exp(-(t W0 g)^2 (n-m)^2 / 2).
     """
-    core, phase = _averaged_core(probe, prior, spectrum, t, tolerances)
+    core, phase = _averaged_core(probe, prior, spectrum, t)
     return AveragedState(phase[:, None] * core * phase.conj())
 
 
@@ -213,23 +211,22 @@ def qfi_pure(probe: ProbeState, spectrum: EffectiveSpectrum, t: float) -> float:
 
 
 def _sld_information(lam: np.ndarray, vecs: np.ndarray, levels: np.ndarray,
-                     t: float, tolerances: Tolerances) -> float:
+                     t: float) -> float:
     """2 t^2 sum_{k != l} (lam_k - lam_l)^2 / (lam_k + lam_l) |<k| G |l>|^2.
 
     (lam, vecs) is the eigendecomposition of the state, G = diag(levels);
-    pairs with lam_k + lam_l at or below sld_floor are left out.
+    pairs with lam_k + lam_l at or below SLD_FLOOR are left out.
     """
     lam = np.clip(lam, 0.0, None)
     gmat = vecs.conj().T @ (levels[:, None] * vecs)
     num = (lam[:, None] - lam[None, :]) ** 2
     den = lam[:, None] + lam[None, :]
-    keep = den > tolerances.sld_floor
+    keep = den > SLD_FLOOR
     terms = np.where(keep, num / np.where(keep, den, 1.0), 0.0) * np.abs(gmat) ** 2
     return float(2.0 * t * t * np.sum(terms))
 
 
-def qfi_mixed(state: AveragedState, spectrum: EffectiveSpectrum, t: float,
-              tolerances: Tolerances = DEFAULT_TOLERANCES) -> float:
+def qfi_mixed(state: AveragedState, spectrum: EffectiveSpectrum, t: float) -> float:
     """Information about omega in a mixed state (symmetric-derivative form).
 
     F = 2 t^2 sum_{k != l} (lam_k - lam_l)^2 / (lam_k + lam_l)
@@ -241,23 +238,22 @@ def qfi_mixed(state: AveragedState, spectrum: EffectiveSpectrum, t: float,
     if state.L != spectrum.L:
         raise ValueError("state and spectrum level counts differ")
     lam, vecs = np.linalg.eigh(state.rho)
-    return _sld_information(lam, vecs, spectrum.levels_float, t, tolerances)
+    return _sld_information(lam, vecs, spectrum.levels_float, t)
 
 
 def variance_reduction(probe: ProbeState, prior: GaussianPrior,
-                       spectrum: EffectiveSpectrum, t: float,
-                       tolerances: Tolerances = DEFAULT_TOLERANCES) -> float:
+                       spectrum: EffectiveSpectrum, t: float) -> float:
     """Posterior-to-prior variance ratio W1^2/W0^2 = 1 - W0^2 F(rho_bar).
 
     Equals 1 at t = 0 (no information) and 1 - x^2 exp(-x^2), x = t W0
     Delta, for the extremal two-level probe. F(rho_bar) is evaluated on the
     real core of _averaged_core with one real symmetric eigensolve, whose
-    smallest eigenvalue is checked against tolerances.psd_floor.
+    smallest eigenvalue is checked against PSD_FLOOR.
     """
-    core, _ = _averaged_core(probe, prior, spectrum, t, tolerances)
+    core, _ = _averaged_core(probe, prior, spectrum, t)
     lam, vecs = np.linalg.eigh(core)
-    _check_density(np.trace(core), lam.min(), tolerances.psd_floor)
-    info = _sld_information(lam, vecs, spectrum.levels_float, t, tolerances)
+    _check_density(np.trace(core), lam.min())
+    info = _sld_information(lam, vecs, spectrum.levels_float, t)
     return 1.0 - prior.width ** 2 * info
 
 
@@ -286,13 +282,13 @@ def _fourier_grid(coeffs: np.ndarray, n: int) -> np.ndarray:
     return n * np.fft.irfft(coeffs, n)
 
 
-def _phase_grid_size(L: int, tolerances: Tolerances) -> int:
-    """2**phase_grid_bits grid points, or the next power of two >= 16 L if larger.
+def _phase_grid_size(L: int) -> int:
+    """2**PHASE_GRID_BITS grid points, or the next power of two >= 16 L if larger.
 
     With 16 points per 2pi/L the piecewise-uniform inverse-CDF draws keep
     their Holevo variance within 0.6 % of the exact density's.
     """
-    return max(1 << tolerances.phase_grid_bits, 1 << (16 * L - 1).bit_length())
+    return max(1 << PHASE_GRID_BITS, 1 << (16 * L - 1).bit_length())
 
 
 def canonical_phase_density(amplitudes_or_rho, thetas: np.ndarray) -> np.ndarray:
@@ -316,9 +312,9 @@ class CanonicalSampler:
     every true phase: draw from the base density and add phi modulo 2pi.
     """
 
-    def __init__(self, amplitudes_or_rho, tolerances: Tolerances = DEFAULT_TOLERANCES):
+    def __init__(self, amplitudes_or_rho):
         r = _coherence_sums(amplitudes_or_rho)
-        n = _phase_grid_size(len(r), tolerances)
+        n = _phase_grid_size(len(r))
         self.thetas = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
         p = np.clip(_fourier_grid(r, n), 0.0, None) / (2.0 * np.pi)
         h = 2.0 * np.pi / n
@@ -343,10 +339,9 @@ class CanonicalSampler:
 
 
 def canonical_phase_sample(probe: ProbeState, rng: np.random.Generator,
-                           size: int = 1,
-                           tolerances: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+                           size: int = 1) -> np.ndarray:
     """Single-shot outcomes of the canonical measurement on a (evolved) probe."""
-    sampler = CanonicalSampler(probe.vector, tolerances=tolerances)
+    sampler = CanonicalSampler(probe.vector)
     return sampler.sample(rng, size)
 
 

@@ -19,8 +19,6 @@ import sys
 
 import numpy as np
 
-from .bayes import GaussianPrior
-from .config import DEFAULT_TOLERANCES
 from .control import EffectiveSpectrum, enumerate_dfs_configs
 from .errors import (Degenerate, InsufficientTime, InvalidState,
                      NoSignalComponent, NotLinear, NumericFailure,
@@ -191,10 +189,9 @@ def _sweep_t(built, grid) -> dict:
     if sc.protocol.kind != "fixed_time":
         raise ScenarioError("axis t requires a fixed_time protocol",
                             "protocol.kind")
-    prior = GaussianPrior(sc.prior.width, sc.prior.mean)
     rows = []
     for t in np.linspace(*grid):
-        rep = fixed_time_single_shot(built.spectrum, prior, float(t))
+        rep = fixed_time_single_shot(built.spectrum, built.prior, float(t))
         row = {"t": float(t), "x": rep.resources["x"],
                "regime": rep.regime,
                "variance_reduction": rep.prediction("variance_reduction"),
@@ -224,8 +221,7 @@ def _sweep_L(built, grid) -> dict:
     for L in _int_grid(grid, 2):
         sp = _uniform_spectrum(L, per_level * L)
         if sc.protocol.kind == "fixed_time":
-            prior = GaussianPrior(sc.prior.width, sc.prior.mean)
-            rep = fixed_time_single_shot(sp, prior, sc.protocol.t)
+            rep = fixed_time_single_shot(sp, built.prior, sc.protocol.t)
             rows.append({"L": L, "Delta": float(sp.Delta),
                          "x": rep.resources["x"], "regime": rep.regime,
                          "variance_reduction":
@@ -254,8 +250,7 @@ def _sweep_Delta(built, grid) -> dict:
             raise ScenarioError("Delta grid must be positive")
         sp = _uniform_spectrum(L, float(d))
         if sc.protocol.kind == "fixed_time":
-            prior = GaussianPrior(sc.prior.width, sc.prior.mean)
-            rep = fixed_time_single_shot(sp, prior, sc.protocol.t)
+            rep = fixed_time_single_shot(sp, built.prior, sc.protocol.t)
             rows.append({"Delta": float(d), "x": rep.resources["x"],
                          "regime": rep.regime,
                          "variance_reduction":

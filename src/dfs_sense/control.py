@@ -14,8 +14,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, Tolerances
-from .errors import Degenerate, NoSignalComponent, TooLarge, Unreachable
+from .config import (ENUMERATION_GUARD, LEVEL_MERGE_RTOL, LINEAR_GAP_RTOL,
+                     ORTHOGONALITY_RTOL)
+from .errors import Degenerate, TooLarge, Unreachable
 from .fields import (Number, NoiseModel, SensorArray, SpatialField, _as_vector,
                      _exactable, _numbers)
 
@@ -140,12 +141,12 @@ class EffectiveSpectrum:
     def levels_float(self) -> np.ndarray:
         return np.asarray([float(v) for v in self.levels], dtype=float)
 
-    def is_linear(self, tolerances: Tolerances = DEFAULT_TOLERANCES) -> bool:
+    def is_linear(self) -> bool:
         """True when consecutive gaps are uniform to relative tolerance."""
         if self.L < 3:
             return True
         gaps = np.diff(self.levels_float)
-        return bool(np.all(np.abs(gaps - gaps[0]) <= tolerances.linear_gap_rtol * abs(gaps[0])))
+        return bool(np.all(np.abs(gaps - gaps[0]) <= LINEAR_GAP_RTOL * abs(gaps[0])))
 
     @property
     def gap(self) -> float:
@@ -154,22 +155,20 @@ class EffectiveSpectrum:
 
     @classmethod
     def from_levels(cls, values: Sequence[Number],
-                    configs: Sequence[SpinConfig] | None = None,
-                    tolerances: Tolerances = DEFAULT_TOLERANCES) -> "EffectiveSpectrum":
+                    configs: Sequence[SpinConfig] | None = None) -> "EffectiveSpectrum":
         """Sort and merge raw level values (_merge_levels); each level reports
         the configuration given first among those merged into it."""
-        levels, first = _merge_levels(list(values), tolerances)
+        levels, first = _merge_levels(list(values))
         return cls(levels, None if configs is None else tuple(configs[i] for i in first))
 
 
-def _merge_levels(values: list[Number], tolerances: Tolerances
-                  ) -> tuple[tuple[Number, ...], list[int]]:
+def _merge_levels(values: list[Number]) -> tuple[tuple[Number, ...], list[int]]:
     """Ascending distinct levels and, per level, the position of the first
     value merged into it. Sorted values merge into the level of the smallest
-    one when equal (exact values) or within level_merge_rtol * range (floats)."""
+    one when equal (exact values) or within LEVEL_MERGE_RTOL * range (floats)."""
     fl = [float(v) for v in values]
     exact = _exactable(*values)
-    tol = 0.0 if exact else tolerances.level_merge_rtol * (max(fl) - min(fl))
+    tol = 0.0 if exact else LEVEL_MERGE_RTOL * (max(fl) - min(fl))
     starts: list[int] = []
     first: list[int] = []
     for i in np.argsort(fl, kind="stable").tolist():
@@ -204,8 +203,6 @@ def ladder_probe(f_perp: SpatialField, n: int) -> LadderPlan:
     """
     if n < 0 or n % 2 != 0:
         raise ValueError("n must be a nonnegative even integer")
-    if not np.any(f_perp.vector != 0.0):
-        raise NoSignalComponent("f_perp is zero")
     # the top rung's spin scale n/2 is exact, so it follows f_perp's kind
     half_n, *fvals = _numbers(Fraction(n, 2), *f_perp.values)
     fmax = max(abs(v) for v in fvals)
@@ -226,7 +223,8 @@ def ladder_probe(f_perp: SpatialField, n: int) -> LadderPlan:
             schedules.append(FlipSchedule((), +1, Fraction(1, 2)))
             dims.append(1)
             continue
-        target = half_n * v / fmax
+        # |v / fmax| <= 1 survives rounding, so the top rung stays physical
+        target = half_n * (v / fmax)
         schedules.append(flip_schedule_for(target, half_n))
         dims.append(int(np.ceil(n * abs(float(v)) / float(fmax) - 1e-12)) or 1)
     return LadderPlan(tuple(configs), spectrum, tuple(schedules), tuple(dims))
@@ -255,16 +253,19 @@ def _reachable_sums(options: Sequence[Sequence[tuple[Number, Number]]]) -> dict:
     return sums
 
 
-def _dfs_rows(array: SensorArray, noise: NoiseModel, anchor: SpinConfig,
-              tolerances: Tolerances) -> np.ndarray:
+def _check_guard(size: int) -> None:
+    """TooLarge when an enumeration would walk more than ENUMERATION_GUARD
+    configurations."""
+    if size > ENUMERATION_GUARD:
+        raise TooLarge(f"{size} configurations exceed the guard {ENUMERATION_GUARD}")
+
+
+def _dfs_rows(array: SensorArray, noise: NoiseModel, anchor: SpinConfig) -> np.ndarray:
     """Ladder indices, one row per configuration c that dfs_condition keeps:
     f_k . (c - anchor) and |c - anchor|^2 are summed site by site over the
     whole (guarded) product ladder as arrays. Rows come in C order, which is
     lexicographic in the spins since every site ladder ascends."""
-    if array.total_configurations > tolerances.enumeration_guard:
-        raise TooLarge(
-            f"{array.total_configurations} configurations exceed the guard "
-            f"{tolerances.enumeration_guard}")
+    _check_guard(array.total_configurations)
     steps = [np.arange(n) - float(m) - float(a) for n, m, a in
              zip(array.quanta_per_site, array.max_spins(), anchor.s, strict=True)]
     # summing the open grids of np.ix_ broadcasts one site at a time; axis j
@@ -273,7 +274,7 @@ def _dfs_rows(array: SensorArray, noise: NoiseModel, anchor: SpinConfig,
     keep = np.ones(nds.shape, dtype=bool)
     for f in noise.noise_fields:
         proj = sum(np.ix_(*(fj * d for fj, d in zip(f.vector, steps, strict=True))))
-        keep &= np.abs(proj) <= tolerances.orthogonality_rtol * np.linalg.norm(f.vector) * nds
+        keep &= np.abs(proj) <= ORTHOGONALITY_RTOL * np.linalg.norm(f.vector) * nds
     # the smallest signed integer type that holds -n_max holds every index
     return np.stack(np.nonzero(keep), axis=1,
                     dtype=np.min_scalar_type(-max(array.quanta_per_site)))
@@ -295,8 +296,7 @@ def _spin_configs(array: SensorArray, rows: np.ndarray) -> list[SpinConfig]:
 
 def enumerate_dfs_configs(array: SensorArray, noise: NoiseModel,
                           anchor: SpinConfig | None = None,
-                          f_perp: SpatialField | None = None,
-                          tolerances: Tolerances = DEFAULT_TOLERANCES) -> list[SpinConfig]:
+                          f_perp: SpatialField | None = None) -> list[SpinConfig]:
     """All physical spin configurations coherent with the anchor (by default
     the sign-matched one along f_perp), sorted by effective_signal_gap to the
     anchor when f_perp is given, then lexicographically."""
@@ -304,7 +304,7 @@ def enumerate_dfs_configs(array: SensorArray, noise: NoiseModel,
         if f_perp is None:
             raise ValueError("an anchor or f_perp is required")
         anchor = sign_matched_anchor(array, f_perp)
-    rows = _dfs_rows(array, noise, anchor, tolerances)
+    rows = _dfs_rows(array, noise, anchor)
     if f_perp is not None:
         # a stable sort keeps equal gaps in lexicographic order
         gaps = np.vecdot(_spins(array, rows) - _as_vector(anchor), f_perp.vector)
@@ -312,8 +312,7 @@ def enumerate_dfs_configs(array: SensorArray, noise: NoiseModel,
     return _spin_configs(array, rows)
 
 
-def equalize_multidim(f_perp: SpatialField | Sequence[Number],
-                      tolerances: Tolerances = DEFAULT_TOLERANCES
+def equalize_multidim(f_perp: SpatialField | Sequence[Number]
                       ) -> tuple[Number, EffectiveSpectrum]:
     """Equalized 4-level ladder on two protected coordinates.
 
@@ -334,7 +333,7 @@ def equalize_multidim(f_perp: SpatialField | Sequence[Number],
     s_eff = f2 / (4 * f1)
     configs = [SpinConfig((a * s_eff, b * half)) for a in (+1, -1) for b in (+1, -1)]
     levels = [c.s[0] * f1 + c.s[1] * f2 for c in configs]
-    spectrum = EffectiveSpectrum.from_levels(levels, configs, tolerances)
+    spectrum = EffectiveSpectrum.from_levels(levels, configs)
     if spectrum.L != 4:
         raise Degenerate("projections collapsed; fewer than 4 distinct levels")
     return s_eff, spectrum
@@ -357,8 +356,7 @@ class ShapedSpectrum:
 
 
 def shape_spectrum(base: EffectiveSpectrum, degeneracy: int,
-                   targets: Sequence[Number],
-                   tolerances: Tolerances = DEFAULT_TOLERANCES) -> ShapedSpectrum:
+                   targets: Sequence[Number]) -> ShapedSpectrum:
     """Realize arbitrary eigenvalues inside a two-level range by timed switching.
 
     Each target lam in [-Delta/2, Delta/2] is produced by holding the upper
@@ -389,5 +387,5 @@ def shape_spectrum(base: EffectiveSpectrum, degeneracy: int,
             f"{copies} degenerate copies needed, only {degeneracy} available")
 
     fractions = tuple((lam + half) / delta for lam in tlist)
-    spectrum = EffectiveSpectrum.from_levels(tlist, None, tolerances)
+    spectrum = EffectiveSpectrum.from_levels(tlist)
     return ShapedSpectrum(spectrum, fractions, not symmetric, copies)

@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, Tolerances
+from .config import DROP_RTOL, ORTHOGONALITY_RTOL, RANK_RTOL
 from .errors import NoSignalComponent, NumericFailure
 
 Number = float | int | Fraction
@@ -119,7 +119,7 @@ class NoiseModel:
 
     noise_fields: tuple[SpatialField, ...] = ()
 
-    def __post_init__(self, tolerances: Tolerances = DEFAULT_TOLERANCES):
+    def __post_init__(self):
         if self.K == 0:
             return
         J = self.noise_fields[0].J
@@ -127,7 +127,7 @@ class NoiseModel:
             raise ValueError("noise profiles must share the site count")
         m = self.matrix
         s = np.linalg.svd(m, compute_uv=False)
-        if s[-1] <= tolerances.rank_rtol * s[0]:
+        if s[-1] <= RANK_RTOL * s[0]:
             raise ValueError("noise profiles are linearly dependent")
 
     @property
@@ -139,7 +139,7 @@ class NoiseModel:
         """K x J matrix of noise amplitudes."""
         return np.vstack([f.vector for f in self.noise_fields])
 
-    def orthonormal_span(self, tolerances: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+    def orthonormal_span(self) -> np.ndarray:
         """Orthonormal basis of the noise span (K x J), by modified
         Gram-Schmidt with one re-orthogonalization pass per vector."""
         if self.K == 0:
@@ -151,7 +151,7 @@ class NoiseModel:
                 for q in rows:
                     v -= (q @ v) * q
             nv = np.linalg.norm(v)
-            if nv <= tolerances.rank_rtol * np.linalg.norm(f.vector):
+            if nv <= RANK_RTOL * np.linalg.norm(f.vector):
                 raise ValueError("noise profiles are linearly dependent")
             rows.append(v / nv)
         return np.vstack(rows)
@@ -169,8 +169,7 @@ def sample_field(profile: Callable[[float], float], array: SensorArray,
     return SpatialField(tuple(vals), label=label)
 
 
-def orthogonal_complement(signal: SpatialField, noise: NoiseModel,
-                          tolerances: Tolerances = DEFAULT_TOLERANCES) -> SpatialField:
+def orthogonal_complement(signal: SpatialField, noise: NoiseModel) -> SpatialField:
     """Component of the signal profile orthogonal to every noise profile.
 
     Raises NoSignalComponent when the signal lies in the noise span (then no
@@ -181,16 +180,15 @@ def orthogonal_complement(signal: SpatialField, noise: NoiseModel,
         return SpatialField(tuple(float(v) for v in f0), label=signal.label)
     if noise.K >= signal.J:
         raise NoSignalComponent("noise span covers the whole site space")
-    q = noise.orthonormal_span(tolerances)
+    q = noise.orthonormal_span()
     v = f0 - q.T @ (q @ f0)
     v -= q.T @ (q @ v)  # second pass kills rounding residue
-    if np.linalg.norm(v) < tolerances.drop_rtol * np.linalg.norm(f0):
+    if np.linalg.norm(v) < DROP_RTOL * np.linalg.norm(f0):
         raise NoSignalComponent("signal profile lies inside the noise span")
     return SpatialField(tuple(float(x) for x in v), label=signal.label)
 
 
-def dfs_condition(s, r, noise: NoiseModel,
-                  tolerances: Tolerances = DEFAULT_TOLERANCES) -> bool:
+def dfs_condition(s, r, noise: NoiseModel) -> bool:
     """True iff the configuration difference is orthogonal to every noise profile.
 
     The coherence between two configurations survives collective dephasing
@@ -202,7 +200,7 @@ def dfs_condition(s, r, noise: NoiseModel,
         return True
     for f in noise.noise_fields:
         fv = f.vector
-        if abs(fv @ ds) > tolerances.orthogonality_rtol * np.linalg.norm(fv) * nds:
+        if abs(fv @ ds) > ORTHOGONALITY_RTOL * np.linalg.norm(fv) * nds:
             return False
     return True
 

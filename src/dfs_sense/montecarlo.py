@@ -24,7 +24,7 @@ import numpy as np
 
 from .bayes import (CanonicalSampler, FlatPrior, ProbeState, _coherence_sums,
                     _fourier_grid, _moments, empirical_holevo, wrap_pi)
-from .config import DEFAULT_TOLERANCES, Tolerances, worker_count
+from .config import worker_count
 from .control import EffectiveSpectrum
 from .errors import InsufficientTime, NumericFailure
 
@@ -229,16 +229,15 @@ def _summarize(kind: str, t: float, seed: int, stats, nu: int, extra: dict,
                              records=records)
 
 
-def _base_sampler(probe_or_rho, tolerances: Tolerances) -> CanonicalSampler:
+def _base_sampler(probe_or_rho) -> CanonicalSampler:
     if isinstance(probe_or_rho, ProbeState):
-        return CanonicalSampler(probe_or_rho.vector, tolerances=tolerances)
-    return CanonicalSampler(probe_or_rho, tolerances=tolerances)
+        return CanonicalSampler(probe_or_rho.vector)
+    return CanonicalSampler(probe_or_rho)
 
 
 def run_estimation_trials(probe_or_rho, spectrum: EffectiveSpectrum,
                           prior: FlatPrior, t: float, trials: int, seed: int,
-                          nu: int = 1, records: bool = False,
-                          tolerances: Tolerances = DEFAULT_TOLERANCES
+                          nu: int = 1, records: bool = False
                           ) -> EstimationSummary:
     """Flat-prior estimation with the canonical measurement, nu shots per trial.
 
@@ -255,7 +254,7 @@ def run_estimation_trials(probe_or_rho, spectrum: EffectiveSpectrum,
     g = spectrum.gap
     if g <= 0:
         raise ValueError("spectrum gap must be positive")
-    sampler = _base_sampler(probe_or_rho, tolerances)
+    sampler = _base_sampler(probe_or_rho)
     tg = t * g
     W0, lo0 = prior.width, prior.lower
     names = ("omega", "outcome", "estimate", "error")
@@ -322,9 +321,7 @@ def _posterior_mean_table(probe_or_rho, gap: float, prior_mean: float,
 
 def simulate_fixed_time(probe_or_rho, spectrum: EffectiveSpectrum,
                         prior_mean: float, prior_width: float, t: float,
-                        trials: int, seed: int,
-                        tolerances: Tolerances = DEFAULT_TOLERANCES
-                        ) -> EstimationSummary:
+                        trials: int, seed: int) -> EstimationSummary:
     """Gaussian-prior estimation at a fixed interrogation time.
 
     The estimator is the exact posterior mean of omega given the canonical
@@ -337,7 +334,7 @@ def simulate_fixed_time(probe_or_rho, spectrum: EffectiveSpectrum,
         raise ValueError("t must be positive")
     g = spectrum.gap
     raw = probe_or_rho.vector if isinstance(probe_or_rho, ProbeState) else probe_or_rho
-    sampler = _base_sampler(raw, tolerances)
+    sampler = _base_sampler(raw)
     tg = t * g
     omega_hat = _posterior_mean_table(raw, g, prior_mean, prior_width, t,
                                       len(sampler.thetas))
@@ -363,8 +360,7 @@ def simulate_fixed_time(probe_or_rho, spectrum: EffectiveSpectrum,
 
 def simulate_adaptive(probe_or_rho, spectrum: EffectiveSpectrum,
                       prior: FlatPrior, widths: tuple[float, ...],
-                      times: tuple[float, ...], trials: int, seed: int,
-                      tolerances: Tolerances = DEFAULT_TOLERANCES
+                      times: tuple[float, ...], trials: int, seed: int
                       ) -> EstimationSummary:
     """Run a shrinking-window schedule end to end.
 
@@ -375,7 +371,7 @@ def simulate_adaptive(probe_or_rho, spectrum: EffectiveSpectrum,
     if len(widths) != len(times) or not widths:
         raise InsufficientTime("empty adaptive schedule")
     g = spectrum.gap
-    sampler = _base_sampler(probe_or_rho, tolerances)
+    sampler = _base_sampler(probe_or_rho)
     rounds = list(zip(times, widths))
     W0, lo0 = prior.width, prior.lower
     final_w = widths[-1]

@@ -27,8 +27,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, Tolerances
-from .control import EffectiveSpectrum, _reachable_sums
+from .control import EffectiveSpectrum, _check_guard, _reachable_sums
 from .errors import TooLarge, Unreachable
 from .fields import Number, NoiseModel, SensorArray, SpatialField, _numbers
 
@@ -83,8 +82,7 @@ class PlacementPlan:
         gap = self.predicted_gap
         return tuple(lo + k * gap for k in range(self.predicted_level_count))
 
-    def enumerate_levels(self, tolerances: Tolerances = DEFAULT_TOLERANCES
-                         ) -> tuple[Number, ...]:
+    def enumerate_levels(self) -> tuple[Number, ...]:
         """The exact level set over the plan's protected domain.
 
         Pair-based families (``pairing`` set) reach the pair-sign patterns,
@@ -100,11 +98,9 @@ class PlacementPlan:
             arr = self.as_sensor_array()
             options = [tuple((s, f * s) for s in arr.site_spin_values(j))
                        for j, f in enumerate(self.signal_values)]
-        size = math.prod(len(steps) for steps in options)
-        if size > tolerances.enumeration_guard:
-            raise TooLarge(f"{size} configurations exceed the guard {tolerances.enumeration_guard}")
+        _check_guard(math.prod(len(steps) for steps in options))
         levels = _reachable_sums(options).get(0)
-        return EffectiveSpectrum.from_levels(levels, tolerances=tolerances).levels if levels else ()
+        return EffectiveSpectrum.from_levels(levels).levels if levels else ()
 
 
 def _even(N: int) -> None:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .bayes import (FlatPrior, GaussianPrior, ProbeState, berry_wiseman_probe,
                     ghz_probe, uniform_probe, variance_reduction)
-from .config import DEFAULT_TOLERANCES, Tolerances
+from .config import NORM_ATOL, REGIME_LARGE, REGIME_SMALL, SINE_BAND_HI, SINE_BAND_LO
 from .control import EffectiveSpectrum
 from .errors import Degenerate, InsufficientTime, NotLinear
 from .montecarlo import (EstimationSummary, run_estimation_trials,
@@ -99,23 +99,21 @@ def _resolve_probe(probe, spectrum: EffectiveSpectrum) -> ProbeState:
     raise ValueError(f"unknown probe {probe!r}")
 
 
-def _require_linear(spectrum: EffectiveSpectrum, tolerances: Tolerances):
-    if not spectrum.is_linear(tolerances):
+def _require_linear(spectrum: EffectiveSpectrum):
+    if not spectrum.is_linear():
         raise NotLinear("protocol assumes uniformly spaced levels")
 
 
 def single_shot_flat(spectrum: EffectiveSpectrum, width: float,
                      lower: float = 0.0, probe=None, simulate: bool = False,
-                     trials: int = 100_000, seed: int = 0,
-                     tolerances: Tolerances = DEFAULT_TOLERANCES
-                     ) -> ProtocolReport:
+                     trials: int = 100_000, seed: int = 0) -> ProtocolReport:
     """One interrogation of length t1 under a flat prior of the given width.
 
     The sine probe saturates the single-shot bound; predictions cover the
     finite-L window variance, its large-L form, and the exact Holevo
     variance of the sine probe mapped back to frequency units.
     """
-    _require_linear(spectrum, tolerances)
+    _require_linear(spectrum)
     L = spectrum.L
     t1 = base_time(spectrum, width)
     hol_phase = math.tan(math.pi / (L + 1)) ** 2
@@ -133,7 +131,7 @@ def single_shot_flat(spectrum: EffectiveSpectrum, width: float,
     if simulate:
         p = _resolve_probe(probe, spectrum)
         sim = run_estimation_trials(p, spectrum, FlatPrior(width, lower), t1,
-                                    trials, seed, tolerances=tolerances)
+                                    trials, seed)
     return ProtocolReport(kind="single_shot_flat", predictions=preds,
                           resources=resources, simulation=sim)
 
@@ -141,8 +139,7 @@ def single_shot_flat(spectrum: EffectiveSpectrum, width: float,
 def repeat_protocol(spectrum: EffectiveSpectrum, width: float,
                     total_time: float, lower: float = 0.0, probe=None,
                     simulate: bool = False, trials: int = 100_000,
-                    seed: int = 0, tolerances: Tolerances = DEFAULT_TOLERANCES
-                    ) -> ProtocolReport:
+                    seed: int = 0) -> ProtocolReport:
     """nu = floor(T/t1) independent shots, combined without prior updates.
 
     Two standard error forms are reported: the per-shot window variance
@@ -150,7 +147,7 @@ def repeat_protocol(spectrum: EffectiveSpectrum, width: float,
     the flooring of nu and a constant near pi; the ratio is reported as
     resources["discrepancy"].
     """
-    _require_linear(spectrum, tolerances)
+    _require_linear(spectrum)
     L = spectrum.L
     t1 = base_time(spectrum, width)
     if total_time < t1 * (1.0 - 1e-12):
@@ -171,7 +168,7 @@ def repeat_protocol(spectrum: EffectiveSpectrum, width: float,
     if simulate:
         p = _resolve_probe(probe, spectrum)
         sim = run_estimation_trials(p, spectrum, FlatPrior(width, lower), t1,
-                                    trials, seed, nu=nu, tolerances=tolerances)
+                                    trials, seed, nu=nu)
     return ProtocolReport(kind="repeat", predictions=preds,
                           resources=resources, simulation=sim)
 
@@ -179,9 +176,7 @@ def repeat_protocol(spectrum: EffectiveSpectrum, width: float,
 def adaptive_schedule(spectrum: EffectiveSpectrum, width: float,
                       total_time: float, lower: float = 0.0, probe=None,
                       simulate: bool = False, trials: int = 100_000,
-                      seed: int = 0,
-                      tolerances: Tolerances = DEFAULT_TOLERANCES
-                      ) -> ProtocolReport:
+                      seed: int = 0) -> ProtocolReport:
     """Shrinking-window schedule: each round narrows the prior by 2L.
 
     Round k runs for t_k = t1 (2L)^(k-1) and leaves width W_k = W0 (2L)^-k.
@@ -189,7 +184,7 @@ def adaptive_schedule(spectrum: EffectiveSpectrum, width: float,
     which guarantees the total time fits inside T and the final width stays
     above the pi/(T Delta) floor.
     """
-    _require_linear(spectrum, tolerances)
+    _require_linear(spectrum)
     L = spectrum.L
     t1 = base_time(spectrum, width)
     x = spectrum.Delta * width * total_time / math.pi
@@ -224,29 +219,26 @@ def adaptive_schedule(spectrum: EffectiveSpectrum, width: float,
     if simulate:
         pr = _resolve_probe(probe, spectrum)
         sim = simulate_adaptive(pr, spectrum, FlatPrior(width, lower),
-                                widths, times, trials, seed,
-                                tolerances=tolerances)
+                                widths, times, trials, seed)
     return ProtocolReport(kind="adaptive", predictions=preds,
                           resources=resources,
                           schedule=tuple(zip(times, widths)), simulation=sim)
 
 
-def classify_regime(x: float, L: int,
-                    tolerances: Tolerances = DEFAULT_TOLERANCES) -> str:
+def classify_regime(x: float, L: int) -> str:
     """Place x = t W0 Delta on the protocol map for an L-level ladder."""
-    if x < tolerances.regime_small:
+    if x < REGIME_SMALL:
         return "ghz"
-    if L > 1 and tolerances.sine_band_lo <= x / (L - 1) <= tolerances.sine_band_hi:
+    if L > 1 and SINE_BAND_LO <= x / (L - 1) <= SINE_BAND_HI:
         return "sine_window"
-    if x / L > tolerances.regime_large:
+    if x / L > REGIME_LARGE:
         return "over_rotated"
     return "intermediate"
 
 
 def fixed_time_single_shot(spectrum: EffectiveSpectrum, prior: GaussianPrior,
                            t: float, probe=None, simulate: bool = False,
-                           trials: int = 100_000, seed: int = 0,
-                           tolerances: Tolerances = DEFAULT_TOLERANCES
+                           trials: int = 100_000, seed: int = 0
                            ) -> ProtocolReport:
     """Single interrogation of a fixed length under a Gaussian prior.
 
@@ -257,14 +249,14 @@ def fixed_time_single_shot(spectrum: EffectiveSpectrum, prior: GaussianPrior,
     """
     if t <= 0:
         raise ValueError("t must be positive")
-    _require_linear(spectrum, tolerances)
+    _require_linear(spectrum)
     L = spectrum.L
     x = t * prior.width * spectrum.Delta
-    regime = classify_regime(x, L, tolerances)
+    regime = classify_regime(x, L)
     if probe is None:
         probe = "ghz" if regime == "ghz" else "sine"
     pstate = _resolve_probe(probe, spectrum)
-    red = variance_reduction(pstate, prior, spectrum, t, tolerances)
+    red = variance_reduction(pstate, prior, spectrum, t)
     preds = [
         Prediction("variance_reduction", red, "1 - W0^2 F(rho_bar)"),
         Prediction("posterior_width", prior.width * math.sqrt(max(red, 0.0)),
@@ -274,13 +266,13 @@ def fixed_time_single_shot(spectrum: EffectiveSpectrum, prior: GaussianPrior,
     # probe (sine and uniform are too at L = 2)
     amps = np.abs(pstate.vector)
     is_ghz = (np.count_nonzero(amps > 0) == 2 and amps[0] > 0 and amps[-1] > 0
-              and abs(amps[0] - amps[-1]) <= tolerances.norm_atol)
+              and abs(amps[0] - amps[-1]) <= NORM_ATOL)
     if is_ghz:
         preds.append(Prediction("variance_reduction_closed_form",
                                 ghz_reduction(x), "1 - x^2 exp(-x^2)"))
     recommendation = None
     if regime == "over_rotated":
-        t_star = tolerances.sine_band_hi * (L - 1) / (prior.width * spectrum.Delta)
+        t_star = SINE_BAND_HI * (L - 1) / (prior.width * spectrum.Delta)
         recommendation = (f"phase winds ~{x / L:.1f} periods per level; "
                           f"shorten t toward {t_star:g} or adopt the "
                           f"shrinking-window schedule")
@@ -294,7 +286,7 @@ def fixed_time_single_shot(spectrum: EffectiveSpectrum, prior: GaussianPrior,
     sim = None
     if simulate:
         sim = simulate_fixed_time(pstate, spectrum, prior.mean, prior.width,
-                                  t, trials, seed, tolerances=tolerances)
+                                  t, trials, seed)
     return ProtocolReport(kind="fixed_time", predictions=tuple(preds),
                           resources=resources, regime=regime,
                           recommendation=recommendation, simulation=sim)

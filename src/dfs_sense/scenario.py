@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bayes import FlatPrior, GaussianPrior
-from .config import DEFAULT_TOLERANCES, Tolerances
 from .control import (EffectiveSpectrum, _dfs_rows, _merge_levels, _spin_configs,
                       _spins, sign_matched_anchor)
 from .control import enumerate_dfs_configs  # noqa: F401  perfbench/child.py wraps this name
@@ -399,9 +398,7 @@ def _field_for(spec: FieldSpec, array: SensorArray, label: str,
     return sample_field(spec.callable(), array, label=label)
 
 
-def build_scenario(scenario: Scenario,
-                   tolerances: Tolerances = DEFAULT_TOLERANCES
-                   ) -> BuiltScenario:
+def build_scenario(scenario: Scenario) -> BuiltScenario:
     """Instantiate array, fields, protected component, and spectrum.
 
     Placement arrays with a gradient signal use the family's closed-form
@@ -421,19 +418,18 @@ def build_scenario(scenario: Scenario,
     noise_fields = tuple(_field_for(spec, array, f"noise:{k}", f"noise[{k}]")
                          for k, spec in enumerate(scenario.noise))
     noise = NoiseModel(noise_fields)
-    f_perp = orthogonal_complement(signal, noise, tolerances)
+    f_perp = orthogonal_complement(signal, noise)
 
     if plan is not None and scenario.signal.profile == "gradient":
         a = abs(scenario.signal.amplitude)
         levels = tuple(a * float(v) for v in plan.predicted_levels())
-        spectrum = EffectiveSpectrum.from_levels(levels,
-                                                 tolerances=tolerances)
+        spectrum = EffectiveSpectrum.from_levels(levels)
     else:
         # rows come lexicographically, so each level reports its
         # lexicographically first configuration; only those L are built
-        rows = _dfs_rows(array, noise, sign_matched_anchor(array, f_perp), tolerances)
+        rows = _dfs_rows(array, noise, sign_matched_anchor(array, f_perp))
         values = np.vecdot(_spins(array, rows), signal.vector).tolist()
-        levels, first = _merge_levels(values, tolerances)
+        levels, first = _merge_levels(values)
         spectrum = EffectiveSpectrum(levels, tuple(_spin_configs(array, rows[first])))
 
     channel = None
@@ -448,16 +444,14 @@ def build_scenario(scenario: Scenario,
 
 
 def run_scenario(built: BuiltScenario, simulate: bool = False,
-                 trials: int | None = None, seed: int | None = None,
-                 tolerances: Tolerances = DEFAULT_TOLERANCES
+                 trials: int | None = None, seed: int | None = None
                  ) -> protocols.ProtocolReport:
     """Dispatch the scenario's protocol over its effective spectrum."""
     sc = built.scenario
     trials = sc.trials if trials is None else trials
     seed = sc.seed if seed is None else seed
     spec = sc.protocol
-    common = dict(probe=spec.probe, simulate=simulate, trials=trials,
-                  seed=seed, tolerances=tolerances)
+    common = dict(probe=spec.probe, simulate=simulate, trials=trials, seed=seed)
     if spec.kind == "single_shot_flat":
         return protocols.single_shot_flat(built.spectrum, sc.prior.width,
                                           sc.prior.lower, **common)
@@ -470,7 +464,6 @@ def run_scenario(built: BuiltScenario, simulate: bool = False,
                                            spec.total_time, sc.prior.lower,
                                            **common)
     if spec.kind == "fixed_time":
-        return protocols.fixed_time_single_shot(
-            built.spectrum, GaussianPrior(sc.prior.width, sc.prior.mean),
-            spec.t, **common)
+        return protocols.fixed_time_single_shot(built.spectrum, built.prior,
+                                                spec.t, **common)
     raise ScenarioError(f"unhandled protocol kind {spec.kind!r}", "protocol.kind")

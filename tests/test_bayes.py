@@ -15,8 +15,8 @@ from dfs_sense import (AveragedState, CanonicalSampler, Degenerate,
                        empirical_holevo, evolve, ghz_probe, holevo_variance,
                        qfi_mixed, qfi_pure, uniform_probe, variance_reduction,
                        wrap_pi)
+from dfs_sense import bayes
 from dfs_sense.bayes import _coherence_sums, _fourier_grid, _phase_grid_size
-from dfs_sense.config import DEFAULT_TOLERANCES
 
 
 def _linear(L, delta=1.0):
@@ -265,14 +265,19 @@ def test_variance_reduction_matches_complex_reference(L):
             assert got < 1.0 - 1e-3
 
 
-def test_variance_reduction_respects_psd_floor():
+def test_variance_reduction_respects_psd_floor(monkeypatch):
     sp = _linear(5, 2.0)
-    strict = DEFAULT_TOLERANCES.with_(psd_floor=1e-6)
-    for p, t in ((berry_wiseman_probe(5), 0.0), (ghz_probe(5), 1.0)):
+    cases = ((berry_wiseman_probe(5), 0.0), (ghz_probe(5), 1.0))
+    for p, t in cases:
         # rank-deficient averaged states: eigenvalues 0 up to round-off
         assert 0.0 < variance_reduction(p, GaussianPrior(0.9), sp, t) <= 1.0
+    monkeypatch.setattr(bayes, "PSD_FLOOR", 1e-6)
+    for p, t in cases:
         with pytest.raises(InvalidState):
-            variance_reduction(p, GaussianPrior(0.9), sp, t, strict)
+            variance_reduction(p, GaussianPrior(0.9), sp, t)
+        # the public averaged state checks the same floor
+        with pytest.raises(InvalidState):
+            averaged_state(p, GaussianPrior(0.9), sp, t)
 
 
 # -------------------------------------------------------- canonical measure
@@ -324,7 +329,7 @@ def test_fourier_grid_matches_dense_sum(L, mixed):
     else:
         x = a[:, 0] / np.linalg.norm(a[:, 0])
         rho = np.outer(x, x.conj())
-    n = _phase_grid_size(L, DEFAULT_TOLERANCES)
+    n = _phase_grid_size(L)
     e = np.exp(1j * np.outer(np.arange(n) * 2 * np.pi / n, np.arange(L)))
     dense = np.sum((e @ rho) * e.conj(), axis=1).real  # sum_{m,k} rho_mk e^{i(m-k)theta}
     grid = _fourier_grid(_coherence_sums(x), n)

@@ -9,9 +9,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dfs_sense import control
 from dfs_sense import (Degenerate, EffectiveSpectrum, NoiseModel, SensorArray,
-                       SpatialField, SpinConfig, TooLarge, Tolerances,
-                       Unreachable, arbitrary_exponential_placement,
+                       SpatialField, SpinConfig, TooLarge, Unreachable, arbitrary_exponential_placement,
                        arbitrary_linear_placement, dfs_condition,
                        effective_signal_gap, enumerate_dfs_configs,
                        equalize_multidim, exponential_placement,
@@ -114,6 +114,18 @@ def test_ladder_probe_rejects_odd_rung_count():
     assert plan0.spectrum.L == 1
 
 
+def test_ladder_probe_top_rung_stays_physical_for_float_fields():
+    # half_n * v / fmax rounded one ulp above half_n = 3 and raised Unreachable
+    plan = ladder_probe(SpatialField((0.1, -0.05)), 6)
+    top = [float(s.realized_average()) for s in plan.site_schedules]
+    assert top == pytest.approx([3.0, -1.5], rel=1e-15)
+    rng = np.random.default_rng(7)
+    for _ in range(2000):
+        J, half_n = int(rng.integers(2, 41)), int(rng.integers(1, 9))
+        plan = ladder_probe(SpatialField(tuple(rng.normal(size=J).tolist())), 2 * half_n)
+        assert len(plan.site_schedules) == J
+
+
 def test_from_levels_reports_first_given_config():
     a, b, c = (SpinConfig((Fraction(k, 2),)) for k in (1, -1, 0))
     sp = EffectiveSpectrum.from_levels([1.0 + 1e-15, 1.0, 0.0], [a, b, c])
@@ -135,7 +147,7 @@ def test_enumerate_uniform_noise_qubits():
         assert sum(c.s) == 0
 
 
-def test_enumerate_guard_and_anchor_default():
+def test_enumerate_guard_and_anchor_default(monkeypatch):
     arr = SensorArray.qubits((0.0, 1.0))
     noise = NoiseModel(())
     f = SpatialField((1.0, -2.0))
@@ -148,17 +160,23 @@ def test_enumerate_guard_and_anchor_default():
     assert out[-1] == anchor
     gaps = [effective_signal_gap(c, anchor, f) for c in out]
     assert gaps == sorted(gaps) and gaps[-1] == 0.0
-    # the guard bounds the size of the product each enumeration walks
-    tight = Tolerances().with_(enumeration_guard=3)
+    # the guard bounds the size of the product each enumeration walks; it
+    # fires before any work, so real sizes above 2^24 raise at once
+    with pytest.raises(TooLarge, match="33554432 configurations exceed the guard 16777216"):
+        enumerate_dfs_configs(SensorArray.qubits(tuple(range(25))), noise,
+                              f_perp=SpatialField(tuple(range(1, 26))))
     with pytest.raises(TooLarge):
-        enumerate_dfs_configs(arr, noise, f_perp=f, tolerances=tight)
+        linear_placement(26).enumerate_levels()              # 2^26 configurations
+    monkeypatch.setattr(control, "ENUMERATION_GUARD", 3)
     with pytest.raises(TooLarge):
-        linear_placement(6).enumerate_levels(tight)          # 2^6 configurations
+        enumerate_dfs_configs(arr, noise, f_perp=f)
     with pytest.raises(TooLarge):
-        exponential_placement(6).enumerate_levels(          # 2^3 pair patterns
-            Tolerances().with_(enumeration_guard=4))
-    assert len(exponential_placement(6).enumerate_levels(
-        Tolerances().with_(enumeration_guard=8))) == 8
+        linear_placement(6).enumerate_levels()               # 2^6 configurations
+    monkeypatch.setattr(control, "ENUMERATION_GUARD", 4)
+    with pytest.raises(TooLarge):
+        exponential_placement(6).enumerate_levels()          # 2^3 pair patterns
+    monkeypatch.setattr(control, "ENUMERATION_GUARD", 8)
+    assert len(exponential_placement(6).enumerate_levels()) == 8
     with pytest.raises(ValueError):   # one anchor value per site
         enumerate_dfs_configs(arr, noise, anchor=SpinConfig((0.5, 0.5, 0.5)))
 
