@@ -19,8 +19,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .config import NORM_ATOL, PHASE_GRID_BITS, PSD_FLOOR, SLD_FLOOR
+from .config import (HERMITIAN_RTOL, NORM_ATOL, PHASE_GRID_BITS, PSD_FLOOR,
+                     SAMPLER_NORM_ATOL, SLD_FLOOR)
 from .control import EffectiveSpectrum
 from .errors import Degenerate, InvalidState, NotLinear, NumericFailure
 
@@ -104,13 +106,17 @@ def berry_wiseman_probe(spectrum_or_L) -> ProbeState:
 
     Optimal single-shot phase probe over a uniformly spaced ladder; its
     adjacent-level sharpness is cos(pi/(L+1)) exactly, giving Holevo
-    variance tan^2(pi/(L+1)).
+    variance tan^2(pi/(L+1)). The sine is taken at min(mu, L+1-mu), the
+    same value mathematically: the argument stays in (0, pi/2], so the
+    amplitudes keep full relative accuracy near mu = L and equal their
+    mirror c_{L+1-mu} bit for bit, which selects the parity split of
+    variance_reduction.
     """
     L = _level_count(spectrum_or_L)
     if L < 2:
         raise Degenerate("need at least 2 levels")
     mu = np.arange(1, L + 1)
-    c = np.sqrt(2.0 / (L + 1)) * np.sin(np.pi * mu / (L + 1))
+    c = np.sqrt(2.0 / (L + 1)) * np.sin(np.pi * np.minimum(mu, L + 1 - mu) / (L + 1))
     return ProbeState(tuple(c.astype(complex).tolist()))
 
 
@@ -151,7 +157,7 @@ class AveragedState:
         r = np.asarray(self.rho, dtype=complex)
         if r.ndim != 2 or r.shape[0] != r.shape[1]:
             raise InvalidState("rho must be square")
-        if np.max(np.abs(r - r.conj().T)) > 1e-12 * max(1.0, float(np.max(np.abs(r)))):
+        if np.max(np.abs(r - r.conj().T)) > HERMITIAN_RTOL * max(1.0, float(np.max(np.abs(r)))):
             raise InvalidState("rho not Hermitian")
         _check_density(np.trace(r).real, np.linalg.eigvalsh(r).min())
         object.__setattr__(self, "rho", r)
@@ -182,8 +188,11 @@ def _averaged_core(probe: ProbeState, prior: GaussianPrior,
     n = np.arange(spectrum.L)
     g = spectrum.gap if spectrum.L > 1 else 0.0
     k = np.exp(-0.5 * (t * prior.width * g * n) ** 2)
+    # K_nm = k[|n - m|] as a strided view, with no L x L index array: row n
+    # is the window of (k_{L-1}, ..., k_1, k_0, ..., k_{L-1}) starting at L-1-n
+    kmat = sliding_window_view(np.concatenate((k[:0:-1], k)), spectrum.L)[::-1]
     a = np.abs(c)
-    core = a[:, None] * k[np.abs(n[:, None] - n)] * a
+    core = a[:, None] * kmat * a
     return core, np.exp(1j * (np.angle(c) - prior.mean * t * g * n))
 
 
@@ -210,6 +219,21 @@ def qfi_pure(probe: ProbeState, spectrum: EffectiveSpectrum, t: float) -> float:
     return 4.0 * t * t * var
 
 
+def _sld_sum(lam_a: np.ndarray, lam_b: np.ndarray, gmat: np.ndarray) -> float:
+    """sum_{k, l} (a_k - b_l)^2 / (a_k + b_l) |gmat_kl|^2 over pairs above SLD_FLOOR.
+
+    lam_a and lam_b are eigenvalues (clipped at 0), gmat the generator
+    between their eigenvectors: rows belong to lam_a, columns to lam_b.
+    """
+    lam_a = np.clip(lam_a, 0.0, None)
+    lam_b = np.clip(lam_b, 0.0, None)
+    num = (lam_a[:, None] - lam_b[None, :]) ** 2
+    den = lam_a[:, None] + lam_b[None, :]
+    keep = den > SLD_FLOOR
+    terms = np.where(keep, num / np.where(keep, den, 1.0), 0.0) * np.abs(gmat) ** 2
+    return np.sum(terms)
+
+
 def _sld_information(lam: np.ndarray, vecs: np.ndarray, levels: np.ndarray,
                      t: float) -> float:
     """2 t^2 sum_{k != l} (lam_k - lam_l)^2 / (lam_k + lam_l) |<k| G |l>|^2.
@@ -217,13 +241,40 @@ def _sld_information(lam: np.ndarray, vecs: np.ndarray, levels: np.ndarray,
     (lam, vecs) is the eigendecomposition of the state, G = diag(levels);
     pairs with lam_k + lam_l at or below SLD_FLOOR are left out.
     """
-    lam = np.clip(lam, 0.0, None)
     gmat = vecs.conj().T @ (levels[:, None] * vecs)
-    num = (lam[:, None] - lam[None, :]) ** 2
-    den = lam[:, None] + lam[None, :]
-    keep = den > SLD_FLOOR
-    terms = np.where(keep, num / np.where(keep, den, 1.0), 0.0) * np.abs(gmat) ** 2
-    return float(2.0 * t * t * np.sum(terms))
+    return float(2.0 * t * t * _sld_sum(lam, lam, gmat))
+
+
+def _parity_information(core: np.ndarray, levels: np.ndarray, t: float) -> float:
+    """Information of a centrosymmetric real core (L >= 2) from its two parity blocks.
+
+    With J the reversal and m = L // 2, a core with J core J = core splits
+    over the odd vectors (e_i - e_{L-1-i})/sqrt(2) and the even vectors
+    (e_i + e_{L-1-i})/sqrt(2), i < m, plus e_m for odd L. With
+    A = core[:m, :m] and (BJ)_ij = core[i, L-1-j], the odd block is A - BJ
+    and the even block A + BJ, bordered for odd L by sqrt(2) core[:m, m]
+    and core[m, m]. On a uniform ladder G is a multiple of the identity
+    plus diag(s), s_i = (levels_i - levels_{L-1-i}) / 2, which maps odd
+    vector i to s_i times even vector i. So only odd-even pairs carry
+    information, each counted twice in the full sum:
+    F = 4 t^2 sum_{k odd, l even} (lam_k - lam_l)^2 / (lam_k + lam_l) cross_kl^2.
+    Checks the trace and the smaller block minimum against PSD_FLOOR.
+    """
+    L = len(levels)
+    m = L // 2
+    s = 0.5 * (levels[:m] - levels[::-1][:m])
+    a = core[:m, :m]
+    bj = core[:m, ::-1][:, :m]
+    even = a + bj
+    if L % 2:
+        col = np.sqrt(2.0) * core[:m, m]
+        even = np.block([[even, col[:, None]],
+                         [col[None, :], core[m:m + 1, m:m + 1]]])
+    lam_e, u_e = np.linalg.eigh(even)
+    lam_o, u_o = np.linalg.eigh(a - bj)
+    _check_density(np.trace(core), min(lam_e.min(), lam_o.min()))
+    cross = u_o.T @ (s[:, None] * u_e[:m])
+    return float(4.0 * t * t * _sld_sum(lam_o, lam_e, cross))
 
 
 def qfi_mixed(state: AveragedState, spectrum: EffectiveSpectrum, t: float) -> float:
@@ -247,13 +298,23 @@ def variance_reduction(probe: ProbeState, prior: GaussianPrior,
 
     Equals 1 at t = 0 (no information) and 1 - x^2 exp(-x^2), x = t W0
     Delta, for the extremal two-level probe. F(rho_bar) is evaluated on the
-    real core of _averaged_core with one real symmetric eigensolve, whose
-    smallest eigenvalue is checked against PSD_FLOOR.
+    real core of _averaged_core. When L >= 2 and the probe moduli equal
+    their reverse bit for bit (|c_n| = |c_{L-1-n}|: the sine, GHZ and
+    uniform probes), the core is centrosymmetric and _parity_information
+    solves its two parity blocks of sizes ceil(L/2) and floor(L/2), a
+    quarter of the work; otherwise one real symmetric eigensolve of the
+    whole core. Either way the smallest eigenvalue is checked against
+    PSD_FLOOR.
     """
     core, _ = _averaged_core(probe, prior, spectrum, t)
-    lam, vecs = np.linalg.eigh(core)
-    _check_density(np.trace(core), lam.min())
-    info = _sld_information(lam, vecs, spectrum.levels_float, t)
+    levels = spectrum.levels_float
+    a = np.abs(probe.vector)
+    if len(a) >= 2 and np.array_equal(a, a[::-1]):
+        info = _parity_information(core, levels, t)
+    else:
+        lam, vecs = np.linalg.eigh(core)
+        _check_density(np.trace(core), lam.min())
+        info = _sld_information(lam, vecs, levels, t)
     return 1.0 - prior.width ** 2 * info
 
 
@@ -322,7 +383,7 @@ class CanonicalSampler:
         p_next = np.roll(p, -1)
         masses = 0.5 * (p + p_next) * h
         total = float(masses.sum())
-        if not np.isfinite(total) or abs(total - 1.0) > 1e-6:
+        if not np.isfinite(total) or abs(total - 1.0) > SAMPLER_NORM_ATOL:
             raise NumericFailure(f"density normalization off by {abs(total - 1.0):.2e}")
         self.norm_error = abs(total - 1.0)
         cdf = np.concatenate(([0.0], np.cumsum(masses)))

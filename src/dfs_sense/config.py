@@ -2,8 +2,9 @@
 
 Each float cut-off that decides an exact condition of the schemes (rank,
 orthogonality, level equality, uniform spacing, density positivity), each
-regime boundary and the enumeration guard is one fixed module constant,
-defined here once and read by the functions that apply it.
+round-off slack or floor a construction compares against, each regime
+boundary and the enumeration guard is one fixed module constant, defined
+here once and read by the functions that apply it.
 """
 
 from __future__ import annotations
@@ -23,11 +24,25 @@ LINEAR_GAP_RTOL = 1e-9       # uniform-gap test for "linear" spectra
 
 # states and information
 NORM_ATOL = 1e-12
+HERMITIAN_RTOL = 1e-12       # |rho - rho^dagger| above rtol * max(1, |rho|) is not Hermitian
 PSD_FLOOR = -1e-10           # smallest admissible density-matrix eigenvalue
 SLD_FLOOR = 1e-12            # eigenvalue-pair sum floor in the mixed-information sum
 
 # canonical phase measurement
 PHASE_GRID_BITS = 14         # floor: the grid has at least 2**PHASE_GRID_BITS points
+SAMPLER_NORM_ATOL = 1e-6     # largest admissible |grid mass - 1| of the phase density
+POSTERIOR_FLOOR_RTOL = 1e-12  # posterior denominator must exceed rtol * sum|a_d|
+
+# control and placement constructions
+LADDER_DIM_SLACK = 1e-12     # ceil(n |v| / fmax - slack): an exact multiple keeps its dim
+SHAPE_RANGE_RTOL = 1e-15     # targets may exceed Delta/2 by this relative margin
+SHAPE_SYMMETRY_RTOL = 1e-12  # t and -u pair up when |t + u| <= rtol * max(1, |t|)
+PROFILE_INVERSE_RTOL = 1e-8  # an inverted profile misses by at most rtol * max(1, |target|)
+SOURCE_CLEARANCE_ATOL = 1e-12  # a power-law source closer than this to a site coincides with it
+
+# protocols and dephasing
+TIME_SLACK = 1e-12           # relative slack of T against whole interrogations t1
+DEPHASE_SNAP_RTOL = 1e-12    # |f . ds| <= rtol * scale counts as a protected pair
 
 # regime classification (asymptotic "much less/greater" conditions need
 # concrete cutoffs; these thresholds are configuration, not physics)

@@ -14,8 +14,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import (ENUMERATION_GUARD, LEVEL_MERGE_RTOL, LINEAR_GAP_RTOL,
-                     ORTHOGONALITY_RTOL)
+from .config import (ENUMERATION_GUARD, LADDER_DIM_SLACK, LEVEL_MERGE_RTOL,
+                     LINEAR_GAP_RTOL, ORTHOGONALITY_RTOL, SHAPE_RANGE_RTOL,
+                     SHAPE_SYMMETRY_RTOL)
 from .errors import Degenerate, TooLarge, Unreachable
 from .fields import (Number, NoiseModel, SensorArray, SpatialField, _as_vector,
                      _exactable, _numbers)
@@ -226,7 +227,7 @@ def ladder_probe(f_perp: SpatialField, n: int) -> LadderPlan:
         # |v / fmax| <= 1 survives rounding, so the top rung stays physical
         target = half_n * (v / fmax)
         schedules.append(flip_schedule_for(target, half_n))
-        dims.append(int(np.ceil(n * abs(float(v)) / float(fmax) - 1e-12)) or 1)
+        dims.append(int(np.ceil(n * abs(float(v)) / float(fmax) - LADDER_DIM_SLACK)) or 1)
     return LadderPlan(tuple(configs), spectrum, tuple(schedules), tuple(dims))
 
 
@@ -373,10 +374,11 @@ def shape_spectrum(base: EffectiveSpectrum, degeneracy: int,
     delta, *targets = _numbers(base.Delta, *targets)
     half = delta / 2
     for lam in targets:
-        if abs(float(lam)) > float(half) * (1 + 1e-15):
+        if abs(float(lam)) > float(half) * (1 + SHAPE_RANGE_RTOL):
             raise Unreachable(f"target {float(lam)} outside [-Delta/2, Delta/2]")
     tlist = sorted(set(targets))
-    symmetric = all(any(abs(float(t) + float(u)) <= 1e-12 * max(1.0, abs(float(t)))
+    symmetric = all(any(abs(float(t) + float(u))
+                        <= SHAPE_SYMMETRY_RTOL * max(1.0, abs(float(t)))
                         for u in tlist) for t in tlist)
     if symmetric:
         copies = sum(1 for t in tlist if float(t) > 0) + (1 if any(float(t) == 0 for t in tlist) else 0)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .bayes import (CanonicalSampler, FlatPrior, ProbeState, _coherence_sums,
                     _fourier_grid, _moments, empirical_holevo, wrap_pi)
-from .config import worker_count
+from .config import DEPHASE_SNAP_RTOL, POSTERIOR_FLOOR_RTOL, worker_count
 from .control import EffectiveSpectrum
 from .errors import InsufficientTime, NumericFailure
 
@@ -124,7 +124,7 @@ def dephase_coherence(channel: DephasingChannel, config_a, config_b) -> float:
         fv = np.asarray(f, dtype=float)
         a = float(fv @ ds)
         fscale = max(1.0, float(np.max(np.abs(fv), initial=0.0)))
-        if abs(a) <= 1e-12 * scale * fscale * len(fv):
+        if abs(a) <= DEPHASE_SNAP_RTOL * scale * fscale * len(fv):
             continue
         protected = False
         if kind == "gaussian":
@@ -312,9 +312,9 @@ def _posterior_mean_table(probe_or_rho, gap: float, prior_mean: float,
     a = r * np.exp(-1j * d * tg * prior_mean - 0.5 * (d * tg * prior_width) ** 2)
     den = _fourier_grid(a, n)
     num = _fourier_grid(a * (prior_mean - 1j * d * tg * prior_width ** 2), n)
-    # round-off floor 1e-12 sum|a_d|: FFT round-off in D stays below 1e-14
-    # sum|a_d| on every grid used, so a smaller margin is noise, not density
-    if den.min() <= 1e-12 * np.abs(a).sum():
+    # round-off floor POSTERIOR_FLOOR_RTOL sum|a_d|: FFT round-off in D stays
+    # below 1e-14 sum|a_d| on every grid used, so a smaller margin is noise
+    if den.min() <= POSTERIOR_FLOOR_RTOL * np.abs(a).sum():
         raise NumericFailure("posterior normalization not above its round-off floor")
     return num / den
 

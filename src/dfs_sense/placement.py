@@ -27,6 +27,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .config import PROFILE_INVERSE_RTOL
 from .control import EffectiveSpectrum, _check_guard, _reachable_sums
 from .errors import TooLarge, Unreachable
 from .fields import Number, NoiseModel, SensorArray, SpatialField, _numbers
@@ -226,7 +227,7 @@ def _invert(profile: Callable[[float], float],
         raise ValueError("an inverse function or a bisection bracket is required")
     err = abs(profile(r) - target)
     scale = max(1.0, abs(float(target)))
-    if not np.isfinite(r) or err > 1e-8 * scale:
+    if not np.isfinite(r) or err > PROFILE_INVERSE_RTOL * scale:
         raise Unreachable(f"no position attains the profile value {target}")
     return r
 

@@ -16,7 +16,8 @@ import numpy as np
 
 from .bayes import (FlatPrior, GaussianPrior, ProbeState, berry_wiseman_probe,
                     ghz_probe, uniform_probe, variance_reduction)
-from .config import NORM_ATOL, REGIME_LARGE, REGIME_SMALL, SINE_BAND_HI, SINE_BAND_LO
+from .config import (NORM_ATOL, REGIME_LARGE, REGIME_SMALL, SINE_BAND_HI, SINE_BAND_LO,
+                     TIME_SLACK)
 from .control import EffectiveSpectrum
 from .errors import Degenerate, InsufficientTime, NotLinear
 from .montecarlo import (EstimationSummary, run_estimation_trials,
@@ -150,10 +151,10 @@ def repeat_protocol(spectrum: EffectiveSpectrum, width: float,
     _require_linear(spectrum)
     L = spectrum.L
     t1 = base_time(spectrum, width)
-    if total_time < t1 * (1.0 - 1e-12):
+    if total_time < t1 * (1.0 - TIME_SLACK):
         raise InsufficientTime(
             f"total time {total_time:g} is below one interrogation ({t1:g})")
-    nu = max(1, int(math.floor(total_time / t1 + 1e-12)))
+    nu = max(1, int(math.floor(total_time / t1 + TIME_SLACK)))
     divided = width ** 2 / (4.0 * L * L) / nu
     product = width / (2.0 * total_time * L * spectrum.Delta)
     preds = (

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bayes import FlatPrior, GaussianPrior
+from .config import SOURCE_CLEARANCE_ATOL
 from .control import (EffectiveSpectrum, _dfs_rows, _merge_levels, _spin_configs,
                       _spins, sign_matched_anchor)
 from .control import enumerate_dfs_configs  # noqa: F401  perfbench/child.py wraps this name
@@ -381,7 +382,7 @@ class BuiltScenario:
 def _check_profile_feasible(spec: FieldSpec, array: SensorArray, path: str):
     if spec.profile == "power_law":
         for r in array.positions:
-            if abs(float(r) - spec.source) < 1e-12:
+            if abs(float(r) - spec.source) < SOURCE_CLEARANCE_ATOL:
                 raise ValueError(
                     f"power_law source {spec.source} coincides with a site "
                     f"position ({path})")

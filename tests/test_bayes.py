@@ -76,6 +76,25 @@ def test_probes_accept_spectrum():
     assert ghz_probe(sp).L == 5
 
 
+@pytest.mark.parametrize("L", [2, 3, 16, 17, 1024, 4096])
+def test_sine_probe_moduli_equal_their_mirror(L):
+    a = np.abs(berry_wiseman_probe(L).vector)
+    assert np.array_equal(a, a[::-1])
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="needs a longdouble wider than float64")
+@pytest.mark.parametrize("L", [1024, 4096])
+def test_sine_probe_full_relative_accuracy(L):
+    # the unfolded argument pi mu/(L+1), with pi to longdouble precision
+    pi = 4 * np.arctan(np.longdouble(1))
+    mu = np.arange(1, L + 1, dtype=np.longdouble)
+    n1 = np.longdouble(L + 1)
+    ref = np.sqrt(2 / n1) * np.sin(pi * mu / n1)
+    got = berry_wiseman_probe(L).vector.real.astype(np.longdouble)
+    assert float(np.max(np.abs(got / ref - 1))) <= 1e-15
+
+
 # ------------------------------------------------------------------- evolve
 
 @settings(max_examples=50, deadline=None)
@@ -247,7 +266,19 @@ def test_variance_reduction_ghz_curve():
         assert r == pytest.approx(1.0 - x * x * math.exp(-x * x), rel=1e-9)
 
 
-@pytest.mark.parametrize("L", [1, 2, 5, 64, 300])
+def _mirror_probe(L, rng):
+    """Random moduli and phases with |c_n| = |c_{L-1-n}| bit for bit.
+
+    The mirror of c is c* times 1, -1, i or -i, which keeps |c| exactly.
+    """
+    m = L // 2
+    h = rng.normal(size=m) + 1j * rng.normal(size=m)
+    twin = rng.choice([1, -1, 1j, -1j], size=m) * h.conj()
+    mid = rng.normal(size=L % 2) + 1j * rng.normal(size=L % 2)
+    return ProbeState.from_vector(np.concatenate((h, mid, twin[::-1])))
+
+
+@pytest.mark.parametrize("L", [1, 2, 3, 5, 64, 65, 300])
 def test_variance_reduction_matches_complex_reference(L):
     # levels 1.9 + 0.37 k: non-unit gap, nonzero offset; random phases and mean
     rng = np.random.default_rng(L)
@@ -255,6 +286,9 @@ def test_variance_reduction_matches_complex_reference(L):
     p = ProbeState.from_vector(rng.normal(size=L) + 1j * rng.normal(size=L))
     flat = ProbeState.from_vector(np.abs(p.vector))
     prior = GaussianPrior(1.3, mean=-0.8)
+    mirrored = [uniform_probe(L)]
+    if L > 1:
+        mirrored += [berry_wiseman_probe(L), ghz_probe(L), _mirror_probe(L, rng)]
     for x in (0.7, 0.8 * L):
         t = x / (prior.width * max(sp.Delta, 0.37))  # Delta = 0 at L = 1
         ref = 1.0 - prior.width ** 2 * qfi_mixed(averaged_state(p, prior, sp, t), sp, t)
@@ -263,10 +297,37 @@ def test_variance_reduction_matches_complex_reference(L):
         assert variance_reduction(flat, prior, sp, t) == pytest.approx(got, rel=1e-12)
         if L > 1:
             assert got < 1.0 - 1e-3
+        # mirror-symmetric moduli: the parity path at L >= 2
+        for q in mirrored:
+            ref = 1.0 - prior.width ** 2 * qfi_mixed(averaged_state(q, prior, sp, t), sp, t)
+            assert variance_reduction(q, prior, sp, t) == pytest.approx(ref, rel=1e-10)
+
+
+def test_variance_reduction_takes_parity_path_for_mirror_moduli(monkeypatch):
+    calls = []
+    parity = bayes._parity_information
+    monkeypatch.setattr(bayes, "_parity_information",
+                        lambda core, *rest: calls.append(len(core)) or parity(core, *rest))
+    rng = np.random.default_rng(7)
+    prior = GaussianPrior(0.9, mean=0.3)
+    for L in (2, 3, 4, 5, 16, 17):
+        sp = _linear(L, 2.0)
+        for p in (berry_wiseman_probe(L), ghz_probe(L), uniform_probe(L),
+                  _mirror_probe(L, rng)):
+            calls.clear()
+            variance_reduction(p, prior, sp, 0.8)
+            assert calls == [L]
+        calls.clear()
+        asym = ProbeState.from_vector(rng.normal(size=L) + 1j * rng.normal(size=L))
+        variance_reduction(asym, prior, sp, 0.8)
+        assert calls == []
+    variance_reduction(uniform_probe(1), prior, EffectiveSpectrum.from_levels([0.0]), 0.8)
+    assert calls == []
 
 
 def test_variance_reduction_respects_psd_floor(monkeypatch):
     sp = _linear(5, 2.0)
+    # both probes have mirror-symmetric moduli: the parity path checks the floor
     cases = ((berry_wiseman_probe(5), 0.0), (ghz_probe(5), 1.0))
     for p, t in cases:
         # rank-deficient averaged states: eigenvalues 0 up to round-off
