@@ -12,9 +12,9 @@ together behind a JSON schema, and cli exposes them as subcommands.
 from .bayes import (AveragedState, CanonicalSampler, FlatPrior, GaussianPrior,
                     ProbeState, analytic_sharpness, averaged_state,
                     berry_wiseman_probe, canonical_phase_density,
-                    canonical_phase_sample, empirical_holevo, evolve,
-                    ghz_probe, holevo_variance, qfi_mixed, qfi_pure,
-                    uniform_probe, variance_reduction, wrap_pi)
+                    empirical_holevo, evolve, ghz_probe, holevo_variance,
+                    qfi_mixed, qfi_pure, uniform_probe, variance_reduction,
+                    wrap_pi)
 from .config import worker_count
 from .control import (EffectiveSpectrum, FlipSchedule, LadderPlan,
                       ShapedSpectrum, SpinConfig, enumerate_dfs_configs,

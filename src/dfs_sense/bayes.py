@@ -21,8 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .config import (HERMITIAN_RTOL, NORM_ATOL, PHASE_GRID_BITS, PSD_FLOOR,
-                     SAMPLER_NORM_ATOL, SLD_FLOOR)
+from .config import (HERMITIAN_RTOL, NORM_ATOL, PHASE_GRID_BITS,
+                     POSTERIOR_FLOOR_RTOL, PSD_FLOOR, SAMPLER_NORM_ATOL,
+                     SLD_FLOOR)
 from .control import EffectiveSpectrum
 from .errors import Degenerate, InvalidState, NotLinear, NumericFailure
 
@@ -186,7 +187,7 @@ def _averaged_core(probe: ProbeState, prior: GaussianPrior,
         raise ValueError("probe and spectrum level counts differ")
     c = probe.vector
     n = np.arange(spectrum.L)
-    g = spectrum.gap if spectrum.L > 1 else 0.0
+    g = spectrum.gap
     k = np.exp(-0.5 * (t * prior.width * g * n) ** 2)
     # K_nm = k[|n - m|] as a strided view, with no L x L index array: row n
     # is the window of (k_{L-1}, ..., k_1, k_0, ..., k_{L-1}) starting at L-1-n
@@ -365,16 +366,20 @@ def canonical_phase_density(amplitudes_or_rho, thetas: np.ndarray) -> np.ndarray
 
 
 class CanonicalSampler:
-    """Inverse-CDF sampler for the canonical phase density.
+    """The canonical phase measurement on one input: draws and posterior table.
 
-    The density is evaluated by FFT on _phase_grid_size points on [0, 2pi);
-    the CDF is inverted by linear interpolation. Because the density under a
-    phase shift phi is the base density rigidly shifted, one sampler serves
-    every true phase: draw from the base density and add phi modulo 2pi.
+    Built from a ProbeState, an amplitude vector or a density matrix. The
+    coherence sums R_d are computed once (coherence_sums); the density is
+    evaluated from them by FFT on _phase_grid_size points thetas on
+    [0, 2pi), and its CDF is inverted by linear interpolation. Because the
+    density under a phase shift phi is the base density rigidly shifted,
+    one sampler serves every true phase: draw from the base density and add
+    phi modulo 2pi. knots are thetas followed by the wrap point 2pi.
     """
 
-    def __init__(self, amplitudes_or_rho):
-        r = _coherence_sums(amplitudes_or_rho)
+    def __init__(self, probe_or_rho):
+        x = probe_or_rho.vector if isinstance(probe_or_rho, ProbeState) else probe_or_rho
+        r = self.coherence_sums = _coherence_sums(x)
         n = _phase_grid_size(len(r))
         self.thetas = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
         p = np.clip(_fourier_grid(r, n), 0.0, None) / (2.0 * np.pi)
@@ -389,21 +394,40 @@ class CanonicalSampler:
         cdf = np.concatenate(([0.0], np.cumsum(masses)))
         cdf /= cdf[-1]
         self._cdf = cdf
-        self._knots = np.concatenate((self.thetas, [2.0 * np.pi]))
+        self.knots = np.concatenate((self.thetas, [2.0 * np.pi]))
 
     def sample(self, rng: np.random.Generator, size: int,
                shift: float | np.ndarray = 0.0) -> np.ndarray:
         """Draw outcomes in [0, 2pi), optionally shifted by the true phase."""
         u = rng.random(size)
-        base = np.interp(u, self._cdf, self._knots)
+        base = np.interp(u, self._cdf, self.knots)
         return np.mod(base + shift, 2.0 * np.pi)
 
+    def posterior_mean_table(self, prior_mean: float, prior_width: float,
+                             tg: float) -> np.ndarray:
+        """Posterior mean of omega given the outcome theta at each of the knots.
 
-def canonical_phase_sample(probe: ProbeState, rng: np.random.Generator,
-                           size: int = 1) -> np.ndarray:
-    """Single-shot outcomes of the canonical measurement on a (evolved) probe."""
-    sampler = CanonicalSampler(probe.vector)
-    return sampler.sample(rng, size)
+        The outcome density at true omega is p0(theta - omega tg), with
+        p0(theta) = (1/2pi) sum_d R_d e^{i d theta}; under a Gaussian prior
+        N(mean, width^2) the integrals over omega are exact per harmonic:
+          denominator  D(theta) = sum_d R_d e^{i d theta} C(d)
+          numerator    N(theta) = sum_d R_d e^{i d theta} (mean - i d tg width^2) C(d)
+        with C(d) = exp(-i d tg mean - (d tg width)^2 / 2); both series are
+        evaluated on the grid by FFT. The last entry repeats the first (the
+        wrap point), so np.interp over knots is periodic.
+        """
+        r = self.coherence_sums
+        d = np.arange(len(r))
+        a = r * np.exp(-1j * d * tg * prior_mean - 0.5 * (d * tg * prior_width) ** 2)
+        n = len(self.thetas)
+        den = _fourier_grid(a, n)
+        num = _fourier_grid(a * (prior_mean - 1j * d * tg * prior_width ** 2), n)
+        # round-off floor POSTERIOR_FLOOR_RTOL sum|a_d|: FFT round-off in D stays
+        # below 1e-14 sum|a_d| on every grid used, so a smaller margin is noise
+        if den.min() <= POSTERIOR_FLOOR_RTOL * np.abs(a).sum():
+            raise NumericFailure("posterior normalization not above its round-off floor")
+        table = num / den
+        return np.append(table, table[0])
 
 
 def analytic_sharpness(amplitudes_or_rho) -> float:

@@ -151,7 +151,10 @@ class EffectiveSpectrum:
 
     @property
     def gap(self) -> float:
-        """Uniform gap Delta/(L-1); callers must have checked is_linear."""
+        """Uniform gap Delta/(L-1) (0.0 for a single level); callers must
+        have checked is_linear."""
+        if self.L < 2:
+            return 0.0
         return float(self.Delta) / (self.L - 1)
 
     @classmethod

@@ -22,11 +22,11 @@ from functools import reduce
 
 import numpy as np
 
-from .bayes import (CanonicalSampler, FlatPrior, ProbeState, _coherence_sums,
-                    _fourier_grid, _moments, empirical_holevo, wrap_pi)
-from .config import DEPHASE_SNAP_RTOL, POSTERIOR_FLOOR_RTOL, worker_count
+from .bayes import (CanonicalSampler, FlatPrior, _moments, empirical_holevo,
+                    wrap_pi)
+from .config import DEPHASE_SNAP_RTOL, worker_count
 from .control import EffectiveSpectrum
-from .errors import InsufficientTime, NumericFailure
+from .errors import InsufficientTime
 
 _CHUNK = 4096
 _MASK64 = (1 << 64) - 1
@@ -229,12 +229,6 @@ def _summarize(kind: str, t: float, seed: int, stats, nu: int, extra: dict,
                              records=records)
 
 
-def _base_sampler(probe_or_rho) -> CanonicalSampler:
-    if isinstance(probe_or_rho, ProbeState):
-        return CanonicalSampler(probe_or_rho.vector)
-    return CanonicalSampler(probe_or_rho)
-
-
 def run_estimation_trials(probe_or_rho, spectrum: EffectiveSpectrum,
                           prior: FlatPrior, t: float, trials: int, seed: int,
                           nu: int = 1, records: bool = False
@@ -254,7 +248,7 @@ def run_estimation_trials(probe_or_rho, spectrum: EffectiveSpectrum,
     g = spectrum.gap
     if g <= 0:
         raise ValueError("spectrum gap must be positive")
-    sampler = _base_sampler(probe_or_rho)
+    sampler = CanonicalSampler(probe_or_rho)
     tg = t * g
     W0, lo0 = prior.width, prior.lower
     names = ("omega", "outcome", "estimate", "error")
@@ -294,54 +288,25 @@ def run_estimation_trials(probe_or_rho, spectrum: EffectiveSpectrum,
                       stats, nu, extra, recs)
 
 
-def _posterior_mean_table(probe_or_rho, gap: float, prior_mean: float,
-                          prior_width: float, t: float, n: int) -> np.ndarray:
-    """Posterior mean of omega given a canonical outcome theta_k = 2 pi k / n.
-
-    With outcome density p(theta|omega) = p0(theta - omega t g) and
-    p0(theta) = (1/2pi) sum_d R_d e^{i d theta} (R_d the d-th coherence
-    diagonal), Gaussian integrals over omega are exact per harmonic:
-      denominator  D(theta) = sum_d R_d e^{i d theta} C(d)
-      numerator    N(theta) = sum_d R_d e^{i d theta} (mu - i d t g W^2) C(d)
-    with C(d) = exp(-i d t g mu - (d t g W)^2 / 2); both series are
-    evaluated on the grid by FFT.
-    """
-    r = _coherence_sums(probe_or_rho)
-    d = np.arange(len(r))
-    tg = t * gap
-    a = r * np.exp(-1j * d * tg * prior_mean - 0.5 * (d * tg * prior_width) ** 2)
-    den = _fourier_grid(a, n)
-    num = _fourier_grid(a * (prior_mean - 1j * d * tg * prior_width ** 2), n)
-    # round-off floor POSTERIOR_FLOOR_RTOL sum|a_d|: FFT round-off in D stays
-    # below 1e-14 sum|a_d| on every grid used, so a smaller margin is noise
-    if den.min() <= POSTERIOR_FLOOR_RTOL * np.abs(a).sum():
-        raise NumericFailure("posterior normalization not above its round-off floor")
-    return num / den
-
-
 def simulate_fixed_time(probe_or_rho, spectrum: EffectiveSpectrum,
                         prior_mean: float, prior_width: float, t: float,
                         trials: int, seed: int) -> EstimationSummary:
     """Gaussian-prior estimation at a fixed interrogation time.
 
     The estimator is the exact posterior mean of omega given the canonical
-    outcome (tabulated once per run; see _posterior_mean_table). Reported
-    reduction is MSE / prior variance; the posterior mean can never do
-    worse than the prior on average, so values above 1 indicate a numerics
-    problem rather than physics.
+    outcome, tabulated once per run by CanonicalSampler.posterior_mean_table.
+    Reported reduction is MSE / prior variance; the posterior mean can never
+    do worse than the prior on average, so values above 1 indicate a
+    numerics problem rather than physics.
     """
     if t <= 0:
         raise ValueError("t must be positive")
-    g = spectrum.gap
-    raw = probe_or_rho.vector if isinstance(probe_or_rho, ProbeState) else probe_or_rho
-    sampler = _base_sampler(raw)
-    tg = t * g
-    omega_hat = _posterior_mean_table(raw, g, prior_mean, prior_width, t,
-                                      len(sampler.thetas))
-    # periodic interpolation table on the sampler's knots, which end at the
-    # wrap point 2 pi (np.interp's period= re-sorts the knots on every call)
-    knots = sampler._knots
-    table = np.append(omega_hat, omega_hat[0])
+    sampler = CanonicalSampler(probe_or_rho)
+    tg = t * spectrum.gap
+    # periodic table on the sampler's knots, which end at the wrap point 2 pi
+    # (np.interp's period= re-sorts the knots on every call)
+    knots = sampler.knots
+    table = sampler.posterior_mean_table(prior_mean, prior_width, tg)
 
     def chunk_fn(rng, size, _start):
         omega = rng.normal(prior_mean, prior_width, size)
@@ -371,7 +336,7 @@ def simulate_adaptive(probe_or_rho, spectrum: EffectiveSpectrum,
     if len(widths) != len(times) or not widths:
         raise InsufficientTime("empty adaptive schedule")
     g = spectrum.gap
-    sampler = _base_sampler(probe_or_rho)
+    sampler = CanonicalSampler(probe_or_rho)
     rounds = list(zip(times, widths))
     W0, lo0 = prior.width, prior.lower
     final_w = widths[-1]

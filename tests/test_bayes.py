@@ -11,10 +11,9 @@ from dfs_sense import (AveragedState, CanonicalSampler, Degenerate,
                        EffectiveSpectrum, FlatPrior, GaussianPrior,
                        InvalidState, NotLinear, ProbeState, analytic_sharpness,
                        averaged_state, berry_wiseman_probe,
-                       canonical_phase_density, canonical_phase_sample,
-                       empirical_holevo, evolve, ghz_probe, holevo_variance,
-                       qfi_mixed, qfi_pure, uniform_probe, variance_reduction,
-                       wrap_pi)
+                       canonical_phase_density, empirical_holevo, evolve,
+                       ghz_probe, holevo_variance, qfi_mixed, qfi_pure,
+                       uniform_probe, variance_reduction, wrap_pi)
 from dfs_sense import bayes
 from dfs_sense.bayes import _coherence_sums, _fourier_grid, _phase_grid_size
 
@@ -417,8 +416,11 @@ def test_sampler_matches_density():
 
 
 def test_sampler_shift_is_rigid():
-    v = ghz_probe(2).vector
+    probe = ghz_probe(2)
+    v = probe.vector
     s = CanonicalSampler(v)
+    # a ProbeState is measured as its amplitude vector
+    assert CanonicalSampler(probe)._cdf.tobytes() == s._cdf.tobytes()
     r1 = np.random.default_rng(5)
     r2 = np.random.default_rng(5)
     a = s.sample(r1, 1000)
@@ -426,11 +428,26 @@ def test_sampler_shift_is_rigid():
     assert np.allclose(wrap_pi(b - a), 0.25, atol=1e-12)
 
 
-def test_canonical_phase_sample_wrapper():
-    p = berry_wiseman_probe(4)
-    rng = np.random.default_rng(0)
-    out = canonical_phase_sample(p, rng, 100)
-    assert out.shape == (100,)
+@pytest.mark.parametrize("mixed", [False, True])
+@pytest.mark.parametrize("L", [2, 5, 16])
+def test_posterior_mean_table_matches_quadrature(L, mixed):
+    """Table entries against int w p0(theta - w tg) N(w; mu, W0) dw over the
+    same integral without w, by the trapezoid rule on a fine omega grid."""
+    rng = np.random.default_rng(100 + L)
+    a = rng.normal(size=(L, 3)) + 1j * rng.normal(size=(L, 3))
+    x = (a @ a.conj().T / np.sum(np.abs(a) ** 2) if mixed
+         else a[:, 0] / np.linalg.norm(a[:, 0]))
+    mu, w0, tg = 0.7, 0.8, 1.3
+    s = CanonicalSampler(x)
+    table = s.posterior_mean_table(mu, w0, tg)
+    assert len(table) == len(s.knots) and table[-1] == table[0]
+    omega = np.linspace(mu - 12 * w0, mu + 12 * w0, 40_001)
+    prior = np.exp(-0.5 * ((omega - mu) / w0) ** 2)
+    n = len(s.thetas)
+    for k in (0, n // 7, n // 3, n // 2, 5 * n // 6):
+        weight = canonical_phase_density(x, s.knots[k] - omega * tg) * prior
+        want = np.trapezoid(omega * weight, omega) / np.trapezoid(weight, omega)
+        assert table[k] == pytest.approx(want, rel=1e-12)
 
 
 # ------------------------------------------------------------------- Holevo
@@ -452,6 +469,16 @@ def test_holevo_examples():
     assert holevo_variance(np.array([1.0])) == math.inf
 
 
+@pytest.mark.parametrize("L", [3, 4, 16, 1024])
+def test_ghz_sharpness_is_exactly_zero(L):
+    """The extremal probe has no adjacent coherence for L >= 3: the direct
+    sum gives exactly 0, so the Holevo variance is flagged inf."""
+    v = ghz_probe(L).vector
+    for x in (v, np.outer(v, v.conj())):
+        assert analytic_sharpness(x) == 0.0
+        assert holevo_variance(x) == math.inf
+
+
 def test_holevo_uniform_decreases_with_L():
     vals = [holevo_variance(uniform_probe(L).vector) for L in (2, 4, 8, 16)]
     assert all(b < a for a, b in zip(vals, vals[1:]))
@@ -471,8 +498,8 @@ def test_holevo_from_samples_matches_analytic():
 def test_sampler_draws_holevo_exact_expectation(L):
     """Draws are uniform within each CDF cell, so E[e^{i theta}] is exact."""
     s = CanonicalSampler(berry_wiseman_probe(L).vector)
-    mass, left = np.diff(s._cdf), s._knots[:-1]
-    h = s._knots[1] - s._knots[0]
+    mass, left = np.diff(s._cdf), s.knots[:-1]
+    h = s.knots[1] - s.knots[0]
     z = np.sum(mass * np.exp(1j * left)) * (np.exp(1j * h) - 1) / (1j * h)
     rel = (1 / abs(z) ** 2 - 1) / math.tan(math.pi / (L + 1)) ** 2 - 1
     assert abs(rel) < 0.01, f"L={L}: {rel:+.2%}"

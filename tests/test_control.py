@@ -70,7 +70,7 @@ def test_spectrum_float_merge():
 
 def test_spectrum_single_level():
     sp = EffectiveSpectrum.from_levels([5, 5, 5])
-    assert sp.L == 1 and sp.Delta == 0
+    assert sp.L == 1 and sp.Delta == 0 and sp.gap == 0.0
 
 
 def test_spectrum_linearity_flag():

@@ -12,6 +12,7 @@ from dfs_sense import (DephasingChannel, EffectiveSpectrum, FlatPrior,
                        ghz_probe, mc_dephase_check, montecarlo,
                        run_estimation_trials, simulate_adaptive,
                        simulate_fixed_time)
+from dfs_sense import bayes
 from dfs_sense.bayes import _moments
 
 
@@ -147,17 +148,51 @@ def test_mc_dephase_check_bit_identical_across_threads(monkeypatch):
 
 # ------------------------------------------------------- estimation trials
 
-def _three_simulations(trials, seed):
-    """The flat, fixed-time and adaptive estimation runs on small ladders."""
+def _simulations(trials, seed):
+    """The flat, fixed-time and adaptive estimation runs on small ladders,
+    by name, each as a call not yet made."""
     sp = _linear(5, 4.0)
     p = berry_wiseman_probe(5)
     prior = FlatPrior(2 * np.pi)
-    return (
-        run_estimation_trials(p, sp, prior, t=1.0, trials=trials, seed=seed),
-        simulate_fixed_time(p, sp, 0.3, 0.8, t=1.0, trials=trials, seed=seed),
-        simulate_adaptive(p, sp, FlatPrior(1.0), (0.25, 1 / 16),
-                          (2 * np.pi, 8 * np.pi), trials=trials, seed=seed),
-    )
+    return {
+        "flat": lambda: run_estimation_trials(p, sp, prior, t=1.0,
+                                              trials=trials, seed=seed),
+        "fixed_time": lambda: simulate_fixed_time(p, sp, 0.3, 0.8, t=1.0,
+                                                  trials=trials, seed=seed),
+        "adaptive": lambda: simulate_adaptive(p, sp, FlatPrior(1.0),
+                                              (0.25, 1 / 16),
+                                              (2 * np.pi, 8 * np.pi),
+                                              trials=trials, seed=seed),
+    }
+
+
+def _three_simulations(trials, seed):
+    return tuple(run() for run in _simulations(trials, seed).values())
+
+
+@pytest.mark.parametrize("which", ["flat", "fixed_time", "adaptive"])
+def test_one_sampler_and_one_coherence_pass_per_simulation(which, monkeypatch):
+    """Each simulation builds one sampler through the module name
+    montecarlo.CanonicalSampler (the benchmark's tracer replaces that name)
+    and computes the coherence sums R_d once."""
+    built, sums = [], []
+    real_sampler, real_sums = montecarlo.CanonicalSampler, bayes._coherence_sums
+
+    def counting_sampler(*args, **kwargs):
+        built.append(args)
+        return real_sampler(*args, **kwargs)
+
+    def counting_sums(x):
+        sums.append(x)
+        return real_sums(x)
+
+    monkeypatch.setattr(montecarlo, "CanonicalSampler", counting_sampler)
+    # count a copy of the name imported into montecarlo too, should one appear
+    for module in (bayes, montecarlo):
+        monkeypatch.setattr(module, "_coherence_sums", counting_sums,
+                            raising=False)
+    _simulations(1000, 0)[which]()
+    assert (len(built), len(sums)) == (1, 1)
 
 
 def test_trials_bit_identical_across_threads(monkeypatch):

@@ -365,6 +365,25 @@ def test_cli_exit_4_posterior_floor(tmp_path, capsys):
     assert "numeric failure" in capsys.readouterr().err
 
 
+def test_cli_fixed_time_simulates_a_single_level(tmp_path, capsys):
+    # constant and gradient noise on three sites leave one protected level:
+    # no information, so the posterior mean is the prior mean and the
+    # simulated reduction is 1
+    doc = _base_doc(array={"positions": [0, 1, 3]},
+                    signal={"profile": "power_law", "alpha": 2, "source": -3},
+                    noise=[{"profile": "constant"}, {"profile": "gradient"}],
+                    prior={"kind": "gaussian", "width": 1.0},
+                    protocol={"kind": "fixed_time", "t": 1, "probe": "uniform"},
+                    trials=1000, seed=0)
+    rc = cli.main(["protocol", "--scenario", _write(tmp_path, doc),
+                   "--simulate", "--format", "json"])
+    assert rc == 0
+    report = json.loads(capsys.readouterr().out)["report"]
+    assert report["resources"]["L"] == 1
+    sim = report["simulation"]
+    assert abs(sim["reduction_hat"] - 1.0) < 3 * sim["reduction_hat_stderr"]
+
+
 @pytest.mark.parametrize("argv", [["table1", "--simulate"],
                                   ["spectrum", "--trials", "5"]])
 def test_cli_rejects_flags_the_command_ignores(argv):
