@@ -168,16 +168,12 @@ class AveragedState:
         return self.rho.shape[0]
 
 
-def _averaged_core(probe: ProbeState, prior: GaussianPrior,
-                   spectrum: EffectiveSpectrum, t: float
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """Real core rho_r and phases phi of the averaged state: rho_bar = phi rho_r phi^*.
+def _damping_kernel(probe: ProbeState, prior: GaussianPrior,
+                    spectrum: EffectiveSpectrum, t: float) -> np.ndarray:
+    """k_d = exp(-(t W0 g d)^2 / 2), d < L: the prior's damping of a coherence d levels apart.
 
-    rho_r = diag|c| K diag|c| with the real Toeplitz damping kernel
-    K_nm = exp(-(t W0 g)^2 (n-m)^2 / 2); phi_n = exp(i arg c_n - i mean t g n).
-    diag(phi) is unitary and commutes with the generator, so rho_bar and
-    rho_r share their eigenvalues and, each in its own eigenbasis, the
-    |<k| G |l>|^2 that the information sums.
+    Raises unless the prior is Gaussian, the ladder uniform and the probe
+    as long as the spectrum; every averaged core starts here.
     """
     if not isinstance(prior, GaussianPrior):
         raise TypeError("averaged_state requires a Gaussian prior")
@@ -185,16 +181,31 @@ def _averaged_core(probe: ProbeState, prior: GaussianPrior,
         raise NotLinear("averaging formula requires uniform level spacing")
     if spectrum.L != probe.L:
         raise ValueError("probe and spectrum level counts differ")
-    c = probe.vector
     n = np.arange(spectrum.L)
-    g = spectrum.gap
-    k = np.exp(-0.5 * (t * prior.width * g * n) ** 2)
+    return np.exp(-0.5 * (t * prior.width * spectrum.gap * n) ** 2)
+
+
+def _averaged_core(probe: ProbeState, prior: GaussianPrior,
+                   spectrum: EffectiveSpectrum, t: float
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Real core rho_r and phases phi of the averaged state: rho_bar = phi rho_r phi^*.
+
+    rho_r = diag|c| K diag|c| with the real Toeplitz damping kernel
+    K_nm = k_|n-m| of _damping_kernel; phi_n = exp(i arg c_n - i mean t g n).
+    diag(phi) is unitary and commutes with the generator, so rho_bar and
+    rho_r share their eigenvalues and, each in its own eigenbasis, the
+    |<k| G |l>|^2 that the information sums.
+    """
+    k = _damping_kernel(probe, prior, spectrum, t)
+    c = probe.vector
     # K_nm = k[|n - m|] as a strided view, with no L x L index array: row n
     # is the window of (k_{L-1}, ..., k_1, k_0, ..., k_{L-1}) starting at L-1-n
     kmat = sliding_window_view(np.concatenate((k[:0:-1], k)), spectrum.L)[::-1]
     a = np.abs(c)
-    core = a[:, None] * kmat * a
-    return core, np.exp(1j * (np.angle(c) - prior.mean * t * g * n))
+    core = a[:, None] * kmat
+    core *= a
+    n = np.arange(spectrum.L)
+    return core, np.exp(1j * (np.angle(c) - prior.mean * t * spectrum.gap * n))
 
 
 def averaged_state(probe: ProbeState, prior: GaussianPrior,
@@ -225,13 +236,18 @@ def _sld_sum(lam_a: np.ndarray, lam_b: np.ndarray, gmat: np.ndarray) -> float:
 
     lam_a and lam_b are eigenvalues (clipped at 0), gmat the generator
     between their eigenvectors: rows belong to lam_a, columns to lam_b.
+    The terms are formed in place in one array.
     """
     lam_a = np.clip(lam_a, 0.0, None)
     lam_b = np.clip(lam_b, 0.0, None)
-    num = (lam_a[:, None] - lam_b[None, :]) ** 2
-    den = lam_a[:, None] + lam_b[None, :]
+    den = np.add.outer(lam_a, lam_b)
     keep = den > SLD_FLOOR
-    terms = np.where(keep, num / np.where(keep, den, 1.0), 0.0) * np.abs(gmat) ** 2
+    terms = np.subtract.outer(lam_a, lam_b)
+    terms **= 2
+    np.divide(terms, den, out=terms, where=keep)
+    del den
+    terms[~keep] = 0.0
+    terms *= np.abs(gmat) ** 2
     return np.sum(terms)
 
 
@@ -246,35 +262,53 @@ def _sld_information(lam: np.ndarray, vecs: np.ndarray, levels: np.ndarray,
     return float(2.0 * t * t * _sld_sum(lam, lam, gmat))
 
 
-def _parity_information(core: np.ndarray, levels: np.ndarray, t: float) -> float:
-    """Information of a centrosymmetric real core (L >= 2) from its two parity blocks.
+def _parity_information(a: np.ndarray, k: np.ndarray, levels: np.ndarray,
+                        t: float) -> float:
+    """Information of the centrosymmetric core a_i k_|i-j| a_j (L >= 2) from its parity blocks.
 
-    With J the reversal and m = L // 2, a core with J core J = core splits
+    a = |c| equals its reverse and k is the damping kernel of
+    _damping_kernel. With J the reversal and m = L // 2, the core splits
     over the odd vectors (e_i - e_{L-1-i})/sqrt(2) and the even vectors
-    (e_i + e_{L-1-i})/sqrt(2), i < m, plus e_m for odd L. With
-    A = core[:m, :m] and (BJ)_ij = core[i, L-1-j], the odd block is A - BJ
-    and the even block A + BJ, bordered for odd L by sqrt(2) core[:m, m]
-    and core[m, m]. On a uniform ladder G is a multiple of the identity
-    plus diag(s), s_i = (levels_i - levels_{L-1-i}) / 2, which maps odd
-    vector i to s_i times even vector i. So only odd-even pairs carry
-    information, each counted twice in the full sum:
+    (e_i + e_{L-1-i})/sqrt(2), i < m, plus e_m for odd L. Its top-left
+    block is the Toeplitz T_ij = a_i k_|i-j| a_j and its top-right block
+    read right to left the Hankel H_ij = a_i k_{L-1-i-j} a_{L-1-j}; both
+    are built from strided views of k, never from the L x L core. The odd
+    block is T - H and the even block T + H, bordered for odd L by
+    sqrt(2) a_i k_{m-i} a_m and a_m k_0 a_m. On a uniform ladder G is a
+    multiple of the identity plus diag(s), s_i = (levels_i - levels_{L-1-i}) / 2,
+    which maps odd vector i to s_i times even vector i. So only odd-even
+    pairs carry information, each counted twice in the full sum:
     F = 4 t^2 sum_{k odd, l even} (lam_k - lam_l)^2 / (lam_k + lam_l) cross_kl^2.
     Checks the trace and the smaller block minimum against PSD_FLOOR.
     """
-    L = len(levels)
+    L = len(a)
     m = L // 2
     s = 0.5 * (levels[:m] - levels[::-1][:m])
-    a = core[:m, :m]
-    bj = core[:m, ::-1][:, :m]
-    even = a + bj
+    am = a[:m]
+    # toeplitz[i, j] = k[|i - j|] as in _averaged_core; hankel[i, j] = k[L-1-i-j]
+    toeplitz = sliding_window_view(np.concatenate((k[m - 1:0:-1], k[:m])), m)[::-1]
+    hankel = sliding_window_view(k[::-1], m)[:m]
+    even = np.empty((L - m, L - m))
+    top = even[:m, :m]
+    np.multiply(am[:, None], toeplitz, out=top)
+    top *= am
+    h = am[:, None] * hankel
+    h *= a[::-1][:m]
+    odd = top - h
+    top += h
+    del h
     if L % 2:
-        col = np.sqrt(2.0) * core[:m, m]
-        even = np.block([[even, col[:, None]],
-                         [col[None, :], core[m:m + 1, m:m + 1]]])
+        col = am * k[m:0:-1]
+        col *= a[m]
+        even[:m, m] = even[m, :m] = np.sqrt(2.0) * col
+        even[m, m] = a[m] * k[0] * a[m]
     lam_e, u_e = np.linalg.eigh(even)
-    lam_o, u_o = np.linalg.eigh(a - bj)
-    _check_density(np.trace(core), min(lam_e.min(), lam_o.min()))
+    del even, top
+    lam_o, u_o = np.linalg.eigh(odd)
+    del odd
+    _check_density(np.sum(a * k[0] * a), min(lam_e.min(), lam_o.min()))
     cross = u_o.T @ (s[:, None] * u_e[:m])
+    del u_o, u_e
     return float(4.0 * t * t * _sld_sum(lam_o, lam_e, cross))
 
 
@@ -302,19 +336,21 @@ def variance_reduction(probe: ProbeState, prior: GaussianPrior,
     real core of _averaged_core. When L >= 2 and the probe moduli equal
     their reverse bit for bit (|c_n| = |c_{L-1-n}|: the sine, GHZ and
     uniform probes), the core is centrosymmetric and _parity_information
-    solves its two parity blocks of sizes ceil(L/2) and floor(L/2), a
-    quarter of the work; otherwise one real symmetric eigensolve of the
-    whole core. Either way the smallest eigenvalue is checked against
-    PSD_FLOOR.
+    builds its two parity blocks of sizes ceil(L/2) and floor(L/2) from
+    |c| and the damping kernel and solves them, a quarter of the work and
+    no L x L array; otherwise one real symmetric eigensolve of the whole
+    core. Either way the smallest eigenvalue is checked against PSD_FLOOR.
     """
-    core, _ = _averaged_core(probe, prior, spectrum, t)
     levels = spectrum.levels_float
     a = np.abs(probe.vector)
     if len(a) >= 2 and np.array_equal(a, a[::-1]):
-        info = _parity_information(core, levels, t)
+        k = _damping_kernel(probe, prior, spectrum, t)
+        info = _parity_information(a, k, levels, t)
     else:
+        core, _ = _averaged_core(probe, prior, spectrum, t)
         lam, vecs = np.linalg.eigh(core)
         _check_density(np.trace(core), lam.min())
+        del core
         info = _sld_information(lam, vecs, levels, t)
     return 1.0 - prior.width ** 2 * info
 

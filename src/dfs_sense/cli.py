@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -87,6 +88,8 @@ def _grid(spec: str) -> tuple[float, float, int]:
         a, b, n = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as e:
         raise argparse.ArgumentTypeError(str(e)) from e
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise argparse.ArgumentTypeError("grid endpoints must be finite")
     if n < 1:
         raise argparse.ArgumentTypeError("grid count must be >= 1")
     return a, b, n

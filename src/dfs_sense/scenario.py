@@ -15,6 +15,7 @@ additionally accept a dephasing strength sigma and phase kind
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +39,14 @@ _PHASES = ("gaussian", "uniform")
 
 
 def _is_num(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+    """A number with a finite float value: json.load also reads NaN, Infinity
+    and integers too large for a float."""
+    if not isinstance(x, (int, float)) or isinstance(x, bool):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
 
 
 def _is_int(x) -> bool:

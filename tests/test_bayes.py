@@ -1,6 +1,7 @@
 """Probes, prior averaging, quantum Fisher information, canonical phase."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -322,6 +323,80 @@ def test_variance_reduction_takes_parity_path_for_mirror_moduli(monkeypatch):
         assert calls == []
     variance_reduction(uniform_probe(1), prior, EffectiveSpectrum.from_levels([0.0]), 0.8)
     assert calls == []
+
+
+def _sld_sum_reference(lam_a, lam_b, gmat):
+    """The pair sum with masked temporaries, as it was before it worked in place."""
+    lam_a = np.clip(lam_a, 0.0, None)
+    lam_b = np.clip(lam_b, 0.0, None)
+    num = (lam_a[:, None] - lam_b[None, :]) ** 2
+    den = lam_a[:, None] + lam_b[None, :]
+    keep = den > bayes.SLD_FLOOR
+    terms = np.where(keep, num / np.where(keep, den, 1.0), 0.0) * np.abs(gmat) ** 2
+    return np.sum(terms)
+
+
+def _reduction_from_whole_core(probe, prior, sp, t):
+    """variance_reduction with its blocks cut from the L x L core by index slicing."""
+    core, _ = bayes._averaged_core(probe, prior, sp, t)
+    levels = sp.levels_float
+    L = len(levels)
+    a = np.abs(probe.vector)
+    if L < 2 or not np.array_equal(a, a[::-1]):
+        lam, vecs = np.linalg.eigh(core)
+        gmat = vecs.conj().T @ (levels[:, None] * vecs)
+        info = 2.0 * t * t * _sld_sum_reference(lam, lam, gmat)
+        return 1.0 - prior.width ** 2 * float(info)
+    m = L // 2
+    s = 0.5 * (levels[:m] - levels[::-1][:m])
+    top = core[:m, :m]
+    bj = core[:m, ::-1][:, :m]
+    even = top + bj
+    if L % 2:
+        col = np.sqrt(2.0) * core[:m, m]
+        even = np.block([[even, col[:, None]],
+                         [col[None, :], core[m:m + 1, m:m + 1]]])
+    lam_e, u_e = np.linalg.eigh(even)
+    lam_o, u_o = np.linalg.eigh(top - bj)
+    cross = u_o.T @ (s[:, None] * u_e[:m])
+    info = 4.0 * t * t * _sld_sum_reference(lam_o, lam_e, cross)
+    return 1.0 - prior.width ** 2 * float(info)
+
+
+@pytest.mark.parametrize("L", [2, 3, 4, 5, 16, 17, 64, 65, 1024])
+def test_parity_blocks_match_the_whole_core_bit_for_bit(L):
+    # blocks built from |c| and the kernel hold the core's own products in
+    # its own order, so every eigenvalue and the result are equal, not close
+    rng = np.random.default_rng(100 + L)
+    sp = EffectiveSpectrum.from_levels([1.9 + 0.37 * k for k in range(L)])
+    prior = GaussianPrior(1.3, mean=-0.8)
+    probes = [berry_wiseman_probe(L), ghz_probe(L), uniform_probe(L),
+              _mirror_probe(L, rng)]
+    if L <= 65:
+        probes.append(ProbeState.from_vector(rng.normal(size=L)
+                                             + 1j * rng.normal(size=L)))
+    for x in (0.7, 3.0, 0.75 * (L - 1)):
+        t = x / (prior.width * sp.Delta)
+        for p in probes:
+            assert variance_reduction(p, prior, sp, t) \
+                == _reduction_from_whole_core(p, prior, sp, t)
+
+
+def test_variance_reduction_memory_ceiling():
+    # sine probe at the sine window: the parity blocks never build the
+    # 8 MB L x L core (the whole-core slicing peaked near 25 MB)
+    L = 1024
+    sp = _linear(L, 2.0)
+    prior = GaussianPrior(0.9)
+    t = (L - 1) / (prior.width * sp.Delta)
+    p = berry_wiseman_probe(L)
+    tracemalloc.start()
+    try:
+        variance_reduction(p, prior, sp, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2 ** 20
 
 
 def test_variance_reduction_respects_psd_floor(monkeypatch):

@@ -322,6 +322,26 @@ def test_cli_exit_2_values_length(tmp_path, capsys, key, path):
     assert "scenario error" in err and f"{path}: 3 values for 4 sites" in err
 
 
+@pytest.mark.parametrize("path, value, key_path", [
+    (("protocol", "t"), math.nan, "protocol.t"),
+    (("protocol", "t"), math.inf, "protocol.t"),
+    (("prior", "width"), math.nan, "prior.width"),
+    (("noise", 0, "sigma"), math.inf, "noise[0].sigma"),
+    (("protocol", "t"), 10 ** 400, "protocol.t")])
+def test_cli_exit_2_non_finite_number(tmp_path, capsys, path, value, key_path):
+    # json.load reads NaN, Infinity and integers beyond the float range; a
+    # scenario number must have a finite float value
+    doc = _base_doc(protocol={"kind": "fixed_time", "t": 0.25},
+                    prior={"kind": "gaussian", "width": 0.5})
+    entry = doc
+    for key in path[:-1]:
+        entry = entry[key]
+    entry[path[-1]] = value
+    rc = cli.main(["protocol", "--scenario", _write(tmp_path, doc)])
+    assert rc == 2
+    assert f"scenario error: {key_path}:" in capsys.readouterr().err
+
+
 def test_cli_exit_2_missing_scenario(capsys):
     rc = cli.main(["spectrum"])
     assert rc == 2
@@ -425,6 +445,10 @@ def test_cli_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc2:
         cli.main(["sweep", "--axis", "t", "--grid", "nonsense"])
     assert exc2.value.code == 2
+    for grid in ("nan:1:2", "1:inf:2"):
+        with pytest.raises(SystemExit) as exc3:
+            cli.main(["sweep", "--axis", "t", "--grid", grid])
+        assert exc3.value.code == 2
 
 
 def test_cli_sweep_L_monotone(tmp_path, capsys):
