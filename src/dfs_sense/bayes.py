@@ -16,7 +16,6 @@ accumulated phase per unit level index directly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -26,9 +25,10 @@ from .config import (HERMITIAN_RTOL, NORM_ATOL, PHASE_GRID_BITS,
                      SLD_FLOOR)
 from .control import EffectiveSpectrum
 from .errors import Degenerate, InvalidState, NotLinear, NumericFailure
+from .records import record
 
 
-@dataclass(frozen=True)
+@record
 class FlatPrior:
     """Uniform prior on [lower, lower + width)."""
 
@@ -40,7 +40,7 @@ class FlatPrior:
             raise ValueError("prior width must be positive")
 
 
-@dataclass(frozen=True)
+@record
 class GaussianPrior:
     """Normal prior; width is the standard deviation."""
 
@@ -55,7 +55,7 @@ class GaussianPrior:
 Prior = FlatPrior | GaussianPrior
 
 
-@dataclass(frozen=True)
+@record
 class ProbeState:
     """Complex amplitudes over the levels of an effective spectrum."""
 
@@ -148,7 +148,7 @@ def _check_density(trace: float, lam_min: float) -> None:
         raise InvalidState(f"eigenvalue {lam_min:.2e} below the floor {PSD_FLOOR:.2e}")
 
 
-@dataclass(frozen=True)
+@record
 class AveragedState:
     """Prior-averaged density matrix in the generator eigenbasis."""
 
@@ -401,13 +401,71 @@ def canonical_phase_density(amplitudes_or_rho, thetas: np.ndarray) -> np.ndarray
     return (r[0].real + 2.0 * (e @ r[1:]).real) / (2.0 * np.pi)
 
 
+class _GuidedInterp:
+    """np.interp over the knots xp and values fp, bit for bit, from a guide table built once.
+
+    xp increases (repeats allowed) from xp[0] = 0, has at least two knots,
+    and x lies in [0, xp[-1]]. A bucket index b(x) = int(x * scale), one
+    bucket per knot interval, is monotone in x, so the last knot j with
+    xp[j] <= x is at least guide[b], the last knot in an earlier bucket
+    (Chen & Asau, 1974). One forward step follows, and np.searchsorted
+    places the few x still short of their knot. The value is np.interp's
+    own expression, slope_j (x - xp_j) + fp_j with the same slope bits,
+    and fp[-1] at x = xp[-1] (the zero slope appended after the last
+    knot). Where a slope np.interp can use is not finite, or fp holds -0.0,
+    its end cases are applied too: fp_j wherever x = xp_j, and its NaN
+    retry from the right-hand knot. Read-only after construction, so
+    threads can share it.
+    """
+
+    def __init__(self, xp, fp):
+        xp = np.asarray(xp, dtype=float)
+        fp = np.asarray(fp, dtype=float)
+        self._scale = (len(xp) - 1) / xp[-1]
+        counts = np.bincount((xp * self._scale).astype(np.intp))
+        self._guide = np.maximum(np.cumsum(counts) - counts - 1, 0)
+        # xp[j + 1] for every j, +inf after the last knot
+        padded = np.append(xp, np.inf)
+        self._xp, self._next = padded[:-1], padded[1:]
+        dx = np.diff(xp)
+        # slopes between repeated knots are never used, as in np.interp
+        self._slopes = np.zeros(len(xp))
+        np.divide(np.diff(fp), dx, out=self._slopes[:-1], where=dx > 0)
+        self._fp = fp
+        self._plain = bool(np.isfinite(self._slopes).all()
+                           and not np.any(np.signbit(fp) & (fp == 0.0)))
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        j = self._guide[(x * self._scale).astype(np.intp)]
+        j += self._next[j] <= x
+        short = self._next[j] <= x
+        if short.any():
+            j[short] = np.searchsorted(self._xp, x[short], "right") - 1
+        xj = self._xp[j]
+        out = x - xj
+        out *= self._slopes[j]
+        out += self._fp[j]
+        if not self._plain:
+            hit = x == xj  # always so for j = len(xp) - 1
+            bad = np.isnan(out) & ~hit
+            if bad.any():
+                jb = j[bad]
+                retry = self._slopes[jb] * (x[bad] - self._next[jb]) + self._fp[jb + 1]
+                same = np.isnan(retry) & (self._fp[jb] == self._fp[jb + 1])
+                retry[same] = self._fp[jb][same]
+                out[bad] = retry
+            out[hit] = self._fp[j[hit]]
+        return out
+
+
 class CanonicalSampler:
     """The canonical phase measurement on one input: draws and posterior table.
 
     Built from a ProbeState, an amplitude vector or a density matrix. The
     coherence sums R_d are computed once (coherence_sums); the density is
     evaluated from them by FFT on _phase_grid_size points thetas on
-    [0, 2pi), and its CDF is inverted by linear interpolation. Because the
+    [0, 2pi), and its CDF is inverted by linear interpolation between the
+    knots, looked up through a guide table (_GuidedInterp). Because the
     density under a phase shift phi is the base density rigidly shifted,
     one sampler serves every true phase: draw from the base density and add
     phi modulo 2pi. knots are thetas followed by the wrap point 2pi.
@@ -431,12 +489,12 @@ class CanonicalSampler:
         cdf /= cdf[-1]
         self._cdf = cdf
         self.knots = np.concatenate((self.thetas, [2.0 * np.pi]))
+        self._inverse_cdf = _GuidedInterp(cdf, self.knots)
 
     def sample(self, rng: np.random.Generator, size: int,
                shift: float | np.ndarray = 0.0) -> np.ndarray:
         """Draw outcomes in [0, 2pi), optionally shifted by the true phase."""
-        u = rng.random(size)
-        base = np.interp(u, self._cdf, self.knots)
+        base = self._inverse_cdf(rng.random(size))
         return np.mod(base + shift, 2.0 * np.pi)
 
     def posterior_mean_table(self, prior_mean: float, prior_width: float,
@@ -449,8 +507,9 @@ class CanonicalSampler:
           denominator  D(theta) = sum_d R_d e^{i d theta} C(d)
           numerator    N(theta) = sum_d R_d e^{i d theta} (mean - i d tg width^2) C(d)
         with C(d) = exp(-i d tg mean - (d tg width)^2 / 2); both series are
-        evaluated on the grid by FFT. The last entry repeats the first (the
-        wrap point), so np.interp over knots is periodic.
+        evaluated on the grid by FFT. The last entry repeats the first, the
+        value at the wrap point 2pi, so interpolating over knots is
+        periodic on [0, 2pi].
         """
         r = self.coherence_sums
         d = np.arange(len(r))
@@ -501,7 +560,10 @@ def empirical_holevo(samples: np.ndarray | None = None,
     """Holevo variance of circular residuals plus a delta-method stderr.
 
     Give the residual samples, or moments = (n, mean, comoment) of their
-    (cos, sin) columns as the Monte-Carlo layer merges them.
+    (cos, sin) columns as the Monte-Carlo layer merges them. The columns
+    are unit vectors, so 1 - |mean|^2 = trace(comoment) / n, and the
+    variance 1/|mean|^2 - 1 is taken as trace(comoment) / (n |mean|^2):
+    no cancellation when |mean| is close to 1.
     """
     if moments is None:
         z = np.exp(1j * (np.asarray(samples) - true_phase))
@@ -513,4 +575,4 @@ def empirical_holevo(samples: np.ndarray | None = None,
     # gradient of 1/(a^2+b^2) - 1 at (a, b) = the mean (cos, sin)
     grad = -2.0 * mean / (s2 * s2)
     se = math.sqrt(max(grad @ com @ grad / (n - 1), 0.0)) / math.sqrt(n)
-    return 1.0 / s2 - 1.0, se
+    return float(np.trace(com)) / (n * s2), se

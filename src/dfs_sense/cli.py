@@ -302,13 +302,13 @@ def cmd_dfs_check(args) -> dict:
     sc = _require_scenario(args)
     built = build_scenario(sc)
     if built.channel is None:
-        raise ValueError("scenario declares no noise channels to check")
+        raise Degenerate("scenario declares no noise channels to check")
     configs = built.spectrum.configs
     if configs is None:
         configs = tuple(enumerate_dfs_configs(built.array, built.noise,
                                               f_perp=built.f_perp))
     if len(configs) < 2:
-        raise ValueError("fewer than two protected configurations")
+        raise Degenerate("fewer than two protected configurations")
     trials = args.trials if args.trials is not None else sc.trials
     seed = args.seed if args.seed is not None else sc.seed
     index = [(i, i + 1) for i in range(min(len(configs) - 1, 20))]

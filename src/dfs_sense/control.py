@@ -8,7 +8,6 @@ rationals whenever the inputs are rational.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -20,9 +19,10 @@ from .config import (ENUMERATION_GUARD, LADDER_DIM_SLACK, LEVEL_MERGE_RTOL,
 from .errors import Degenerate, TooLarge, Unreachable
 from .fields import (Number, NoiseModel, SensorArray, SpatialField, _as_vector,
                      _exactable, _numbers)
+from .records import record
 
 
-@dataclass(frozen=True)
+@record
 class SpinConfig:
     """Effective time-averaged spin per site."""
 
@@ -36,7 +36,7 @@ class SpinConfig:
         return len(self.s)
 
 
-@dataclass(frozen=True)
+@record
 class FlipSchedule:
     """Piecewise-constant spin trajectory for one site.
 
@@ -107,7 +107,7 @@ def flip_schedule_for(target: Number, local_max: Number) -> FlipSchedule:
     return FlipSchedule((alpha,), +1, local_max)
 
 
-@dataclass(frozen=True)
+@record
 class EffectiveSpectrum:
     """Distinct generator eigenvalues reachable by a protected configuration set."""
 
@@ -185,7 +185,7 @@ def _merge_levels(values: list[Number]) -> tuple[tuple[Number, ...], list[int]]:
     return tuple(values[i] for i in starts), first
 
 
-@dataclass(frozen=True)
+@record
 class LadderPlan:
     """Equally spaced configuration ladder aligned with the protected signal."""
 
@@ -343,7 +343,7 @@ def equalize_multidim(f_perp: SpatialField | Sequence[Number]
     return s_eff, spectrum
 
 
-@dataclass(frozen=True)
+@record
 class ShapedSpectrum:
     """Arbitrary spectrum carved from degenerate two-level copies.
 

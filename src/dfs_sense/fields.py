@@ -8,7 +8,6 @@ every noise profile keep their mutual coherence under collective dephasing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -16,6 +15,7 @@ import numpy as np
 
 from .config import DROP_RTOL, ORTHOGONALITY_RTOL, RANK_RTOL
 from .errors import NoSignalComponent, NumericFailure
+from .records import record
 
 Number = float | int | Fraction
 
@@ -40,7 +40,7 @@ def _as_vector(x) -> np.ndarray:
     return np.asarray([float(v) for v in values], dtype=float)
 
 
-@dataclass(frozen=True)
+@record
 class SensorArray:
     """Sensor sites: positions r_j plus the local level count n_j per site.
 
@@ -88,7 +88,7 @@ class SensorArray:
         return cls(tuple(positions), (2,) * len(positions))
 
 
-@dataclass(frozen=True)
+@record
 class SpatialField:
     """Field amplitudes per site. label: "signal" or "noise:<k>"."""
 
@@ -113,7 +113,7 @@ class SpatialField:
         return len(self.values)
 
 
-@dataclass(frozen=True)
+@record
 class NoiseModel:
     """A set of K linearly independent noise profiles."""
 

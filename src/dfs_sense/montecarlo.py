@@ -15,18 +15,19 @@ phi, so one inverse-CDF table serves every trial.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
 from functools import reduce
 
 import numpy as np
 
-from .bayes import (CanonicalSampler, FlatPrior, _moments, empirical_holevo,
-                    wrap_pi)
+from .bayes import (CanonicalSampler, FlatPrior, _GuidedInterp, _moments,
+                    empirical_holevo, wrap_pi)
 from .config import DEPHASE_SNAP_RTOL, worker_count
 from .control import EffectiveSpectrum
 from .errors import InsufficientTime
+from .records import factory, record
 
 _CHUNK = 4096
 _MASK64 = (1 << 64) - 1
@@ -48,10 +49,32 @@ def _merge(a, b):
     return n, ma + delta * (nb / n), ca + cb + np.outer(delta, delta) * (na * nb / n)
 
 
+try:
+    _malloc_trim = ctypes.CDLL(None).malloc_trim
+except (AttributeError, OSError, TypeError):  # not glibc
+    _malloc_trim = None
+
+
+def _release_freed_heap() -> None:
+    """Return heap pages that free() kept to the OS (glibc malloc_trim; elsewhere nothing).
+
+    Large numpy temporaries come from the heap once glibc has raised its
+    mmap threshold, and one small block allocated above them keeps them all
+    resident after they are freed; whether that happens turns on the heap's
+    earlier history, down to the length of the install path. At L = 1024
+    the resident set after variance_reduction's eigensolves is then 45 MB
+    instead of 35 MB, and the chunk threads' arenas and numpy.random's
+    first import (about 7 MB) would come on top of it.
+    """
+    if _malloc_trim is not None:
+        _malloc_trim(0)
+
+
 def _run_chunked(trials: int, seed: int, chunk_fn):
     """Merged (n, mean, comoment) of the columns chunk_fn(rng, size, start) returns."""
     if trials < MIN_TRIALS:
         raise ValueError(f"trials must be at least {MIN_TRIALS}")
+    _release_freed_heap()
     jobs = [(idx, start, min(_CHUNK, trials - start))
             for idx, start in enumerate(range(0, trials, _CHUNK))]
     workers = min(worker_count(), len(jobs))
@@ -70,7 +93,7 @@ def _run_chunked(trials: int, seed: int, chunk_fn):
 # dephasing
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class DephasingChannel:
     """Random collective phases chi_k coupled through spatial fields f_k.
 
@@ -134,7 +157,7 @@ def dephase_coherence(channel: DephasingChannel, config_a, config_b) -> float:
     return 1.0 if protected else out
 
 
-@dataclass(frozen=True)
+@record
 class DephaseCheck:
     analytic: float
     empirical: float
@@ -185,7 +208,7 @@ def mc_dephase_check(channel: DephasingChannel, pairs, trials: int = 100_000,
 # estimation trials
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class EstimationSummary:
     kind: str
     trials: int
@@ -198,7 +221,7 @@ class EstimationSummary:
     holevo: float
     holevo_stderr: float
     nu: int = 1
-    extra: dict = field(default_factory=dict)
+    extra: dict = factory(dict)
     # one row per trial, fields omega, outcome, estimate, error (records=True)
     records: np.ndarray | None = None
 
@@ -303,16 +326,16 @@ def simulate_fixed_time(probe_or_rho, spectrum: EffectiveSpectrum,
         raise ValueError("t must be positive")
     sampler = CanonicalSampler(probe_or_rho)
     tg = t * spectrum.gap
-    # periodic table on the sampler's knots, which end at the wrap point 2 pi
-    # (np.interp's period= re-sorts the knots on every call)
-    knots = sampler.knots
-    table = sampler.posterior_mean_table(prior_mean, prior_width, tg)
+    # the table ends at the wrap point 2 pi with its first value, so theta in
+    # [0, 2 pi], 2 pi included, needs no periodic wrap
+    posterior_mean = _GuidedInterp(
+        sampler.knots, sampler.posterior_mean_table(prior_mean, prior_width, tg))
 
     def chunk_fn(rng, size, _start):
         omega = rng.normal(prior_mean, prior_width, size)
         y = sampler.sample(rng, size)
         theta = np.mod(y + omega * tg, 2.0 * np.pi)
-        err = np.interp(theta, knots, table) - omega
+        err = posterior_mean(theta) - omega
         resid = wrap_pi(y)
         return err * err, np.cos(resid), np.sin(resid)
 

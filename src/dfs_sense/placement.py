@@ -21,7 +21,6 @@ exact enumeration reproduces.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -31,9 +30,10 @@ from .config import PROFILE_INVERSE_RTOL
 from .control import EffectiveSpectrum, _check_guard, _reachable_sums
 from .errors import TooLarge, Unreachable
 from .fields import Number, NoiseModel, SensorArray, SpatialField, _numbers
+from .records import record
 
 
-@dataclass(frozen=True)
+@record
 class PlacementPlan:
     """A placement with its predicted protected spectrum.
 

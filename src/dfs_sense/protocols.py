@@ -10,7 +10,6 @@ factor; both are reported side by side rather than silently reconciled.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,9 +21,10 @@ from .control import EffectiveSpectrum
 from .errors import Degenerate, InsufficientTime, NotLinear
 from .montecarlo import (EstimationSummary, run_estimation_trials,
                          simulate_adaptive, simulate_fixed_time)
+from .records import factory, record
 
 
-@dataclass(frozen=True)
+@record
 class Prediction:
     """A named number plus the formula that produced it."""
 
@@ -33,11 +33,11 @@ class Prediction:
     formula: str
 
 
-@dataclass(frozen=True)
+@record
 class ProtocolReport:
     kind: str
     predictions: tuple[Prediction, ...]
-    resources: dict = field(default_factory=dict)
+    resources: dict = factory(dict)
     schedule: tuple[tuple[float, float], ...] | None = None
     regime: str | None = None
     recommendation: str | None = None

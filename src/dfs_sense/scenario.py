@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,6 +29,7 @@ from .fields import NoiseModel, SensorArray, SpatialField, orthogonal_complement
 from .montecarlo import MIN_TRIALS, DephasingChannel
 from .placement import FAMILIES, PlacementPlan
 from . import protocols
+from .records import record
 
 _PROFILES = ("constant", "gradient", "power_law")
 _PRIOR_KINDS = ("flat", "gaussian")
@@ -65,7 +65,7 @@ def _reject_unknown(doc: dict, allowed, path: str):
         raise ScenarioError(f"unknown key(s) {sorted(extra)!r}", path)
 
 
-@dataclass(frozen=True)
+@record
 class ArraySpec:
     positions: tuple[float, ...] | None = None
     quanta_per_site: tuple[int, ...] | None = None
@@ -85,7 +85,7 @@ class ArraySpec:
         return d
 
 
-@dataclass(frozen=True)
+@record
 class FieldSpec:
     profile: str | None = None
     values: tuple[float, ...] | None = None
@@ -124,7 +124,7 @@ class FieldSpec:
         return d
 
 
-@dataclass(frozen=True)
+@record
 class PriorSpec:
     kind: str
     width: float
@@ -140,7 +140,7 @@ class PriorSpec:
         return d
 
 
-@dataclass(frozen=True)
+@record
 class ProtocolSpec:
     kind: str
     total_time: float | None = None
@@ -158,7 +158,7 @@ class ProtocolSpec:
         return d
 
 
-@dataclass(frozen=True)
+@record
 class Scenario:
     array: ArraySpec
     signal: FieldSpec
@@ -366,7 +366,7 @@ def load_scenario(path: str) -> Scenario:
     return parse_scenario(doc)
 
 
-@dataclass(frozen=True)
+@record
 class BuiltScenario:
     """Everything derived from a scenario document, ready to run."""
 

@@ -503,6 +503,61 @@ def test_sampler_shift_is_rigid():
     assert np.allclose(wrap_pi(b - a), 0.25, atol=1e-12)
 
 
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def _cdf_inputs(cdf, rng) -> list[np.ndarray]:
+    """Every CDF knot and its float neighbours inside [0, 1), 0, and uniform draws."""
+    knots = cdf[:-1]
+    near = np.concatenate((knots, np.nextafter(knots, 2.0),
+                           np.nextafter(knots[1:], -1.0), [0.0, np.nextafter(1.0, 0.0)]))
+    return [near, rng.random(50_000), rng.random((64, 33))]
+
+
+@pytest.mark.parametrize("make", [berry_wiseman_probe, ghz_probe, uniform_probe])
+@pytest.mark.parametrize("L", [2, 3, 16, 1024, 4096])
+def test_guided_lookups_equal_np_interp_bit_for_bit(make, L):
+    """The sampler's inverse CDF and the fixed-time posterior-mean lookup are
+    np.interp on the same knots, compared as int64 bit patterns."""
+    rng = np.random.default_rng(L)
+    s = CanonicalSampler(make(L))
+    for u in _cdf_inputs(s._cdf, rng):
+        assert _same_bits(s._inverse_cdf(u), np.interp(u, s._cdf, s.knots))
+    # draws and 2-D draws go through the same lookup
+    assert _same_bits(s.sample(np.random.default_rng(1), (40, 7)),
+                      np.mod(np.interp(np.random.default_rng(1).random((40, 7)),
+                                       s._cdf, s.knots), 2 * np.pi))
+    for mean, width, tg in ((0.0, 1.0, 0.3), (0.7, 0.05, 2.0)):
+        table = s.posterior_mean_table(mean, width, tg)
+        lookup = bayes._GuidedInterp(s.knots, table)
+        two_pi = 2 * np.pi
+        y = rng.random(50_000) * two_pi
+        wraps = np.mod(np.array([-1e-17, -1e-16, -4e-16, -0.0, two_pi, 3 * two_pi]), two_pi)
+        assert np.any(wraps == two_pi)  # np.mod results that round to 2 pi
+        for theta in (s.knots, np.nextafter(s.knots[1:], 0.0), y, wraps,
+                      np.mod(y + rng.normal(0.0, 30.0, y.shape), two_pi),
+                      y.reshape(500, 100)):
+            assert _same_bits(lookup(theta), np.interp(theta, s.knots, table))
+
+
+def test_guided_lookup_keeps_np_interp_end_cases():
+    """Repeated knots, -0.0 values, overflowing slopes and infinite values
+    take np.interp's own branches: fp at an exact knot, and its NaN retry."""
+    xp = np.array([0.0, 0.0, 0.5, 0.5, 0.5, 1.0, 1.0 + 1e-300, 2.0, 3.0, 4.0, 5.0, 6.0])
+    fp = np.array([-0.0, 1.0, -0.0, 2.0, 3.0, -1e300, 1e300, -0.0, 5.0, np.inf, np.inf, 7.0])
+    x = np.concatenate((xp, np.nextafter(xp, 7.0), np.linspace(0.0, 6.0, 10_001),
+                        [1.0 + 5e-301]))
+    x = x[x <= 6.0]
+    with np.errstate(all="ignore"):
+        assert _same_bits(bayes._GuidedInterp(xp, fp)(x), np.interp(x, xp, fp))
+        # a NaN last value, reached only at x = xp[-1]
+        fp[-1] = np.nan
+        assert np.array_equal(bayes._GuidedInterp(xp, fp)(x), np.interp(x, xp, fp),
+                              equal_nan=True)
+
+
 @pytest.mark.parametrize("mixed", [False, True])
 @pytest.mark.parametrize("L", [2, 5, 16])
 def test_posterior_mean_table_matches_quadrature(L, mixed):
@@ -578,6 +633,20 @@ def test_sampler_draws_holevo_exact_expectation(L):
     z = np.sum(mass * np.exp(1j * left)) * (np.exp(1j * h) - 1) / (1j * h)
     rel = (1 / abs(z) ** 2 - 1) / math.tan(math.pi / (L + 1)) ** 2 - 1
     assert abs(rel) < 0.01, f"L={L}: {rel:+.2%}"
+
+
+@pytest.mark.parametrize("spread", [1e-5, 1e-4])
+def test_empirical_holevo_without_cancellation(spread):
+    """Near-zero spread: 1/|z|^2 - 1 loses digits, the comoment trace does not.
+
+    Reference: 1 - |z|^2 = (2/n^2) sum_ij sin^2((r_i - r_j)/2) for unit
+    residuals, with no cancellation."""
+    r = np.random.default_rng(17).normal(0.0, spread, 1000)
+    z2 = abs(np.mean(np.exp(1j * r))) ** 2
+    ref = 2.0 * np.sum(np.sin(np.subtract.outer(r, r) / 2) ** 2) / r.size ** 2 / z2
+    assert empirical_holevo(r)[0] == pytest.approx(ref, rel=1e-12, abs=0)
+    n, mean, com = bayes._moments((np.cos(r), np.sin(r)))
+    assert empirical_holevo(moments=(n, mean, com))[0] == pytest.approx(ref, rel=1e-12, abs=0)
 
 
 def test_empirical_holevo_centering():

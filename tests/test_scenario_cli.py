@@ -546,10 +546,32 @@ def test_cli_dfs_check_one_pass_at_any_thread_count(tmp_path, capsys,
     assert len(out[0].splitlines()) > 5  # comments, header, several pairs
 
 
-def test_cli_dfs_check_requires_noise(tmp_path, capsys):
+def _typed_infeasible_only(monkeypatch):
+    """Let exit 3 come only from a typed error, not from the bare-ValueError catch."""
+    monkeypatch.setattr(cli, "_INFEASIBLE",
+                        tuple(e for e in cli._INFEASIBLE if e is not ValueError))
+
+
+def test_cli_dfs_check_requires_noise(tmp_path, capsys, monkeypatch):
+    _typed_infeasible_only(monkeypatch)
     doc = _base_doc(noise=[])
     rc = cli.main(["dfs-check", "--scenario", _write(tmp_path, doc)])
     assert rc == 3
+    assert (capsys.readouterr().err.strip()
+            == "infeasible: scenario declares no noise channels to check")
+
+
+def test_cli_dfs_check_requires_two_protected_configurations(tmp_path, capsys,
+                                                             monkeypatch):
+    # constant and gradient noise on three sites leave one protected level
+    _typed_infeasible_only(monkeypatch)
+    doc = _base_doc(array={"positions": [0, 1, 3]},
+                    signal={"profile": "power_law", "alpha": 2, "source": -3},
+                    noise=[{"profile": "constant"}, {"profile": "gradient"}])
+    rc = cli.main(["dfs-check", "--scenario", _write(tmp_path, doc)])
+    assert rc == 3
+    assert (capsys.readouterr().err.strip()
+            == "infeasible: fewer than two protected configurations")
 
 
 def test_console_script_entry_point(capsys):
