@@ -17,6 +17,7 @@ import argparse
 import json
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 
@@ -95,6 +96,17 @@ def _grid(spec: str) -> tuple[float, float, int]:
     return a, b, n
 
 
+def _sizes(spec: str) -> tuple[int, ...]:
+    """An argparse type: comma-separated even integers >= 2."""
+    try:
+        sizes = tuple(int(s) for s in spec.split(","))
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e)) from e
+    if any(n < 2 or n % 2 for n in sizes):
+        raise argparse.ArgumentTypeError("sizes must be even integers >= 2")
+    return sizes
+
+
 def _uniform_spectrum(L: int, delta: float) -> EffectiveSpectrum:
     lo = -delta / 2.0
     gap = delta / (L - 1)
@@ -125,18 +137,16 @@ def cmd_spectrum(args) -> dict:
     return {"comments": comments, "meta": meta, "rows": rows}
 
 
+def _table(cols: tuple[str, ...], sizes: tuple[int, ...] = ()) -> list[dict]:
+    """The placement table's columns, exact rationals as floats."""
+    rows = table_rows(sizes) if sizes else table_rows()
+    return [{c: float(r[c]) if isinstance(r[c], Fraction) else r[c]
+             for c in cols} for r in rows]
+
+
 def cmd_table1(args) -> dict:
-    sizes = tuple(int(s) for s in args.sizes.split(",")) if args.sizes \
-        else (4, 6, 8, 10, 12, 14, 16)
-    rows = []
-    for r in table_rows(sizes):
-        rows.append({
-            "family": r["family"], "N": r["N"],
-            "range": float(r["range"]), "levels": r["levels"],
-            "enum_range": float(r["enum_range"]),
-            "enum_levels": r["enum_levels"],
-            "gap": float(r["gap"]),
-        })
+    rows = _table(("family", "N", "range", "levels", "enum_range",
+                   "enum_levels", "gap"), args.sizes)
     comments = [
         "formula: two_point range = N (conventional units), levels = N/2",
         "formula: linear range = N^2/(4(N-1)), levels = N^2/4",
@@ -216,26 +226,31 @@ def _int_grid(grid, minimum: int) -> list[int]:
     return vals
 
 
-def _sweep_L(built, grid) -> dict:
+def _ladder_rows(built, points, flat_labels: tuple[str, ...]) -> list[dict]:
+    """One row per (leading columns, uniform spectrum) point: the fixed-time
+    x, regime and variance reduction, or the flat-prior t1 and flat_labels."""
     sc = built.scenario
-    base = built.spectrum
-    per_level = float(base.Delta) / base.L  # hold Delta/L fixed
     rows = []
-    for L in _int_grid(grid, 2):
-        sp = _uniform_spectrum(L, per_level * L)
+    for lead, sp in points:
         if sc.protocol.kind == "fixed_time":
             rep = fixed_time_single_shot(sp, built.prior, sc.protocol.t)
-            rows.append({"L": L, "Delta": float(sp.Delta),
-                         "x": rep.resources["x"], "regime": rep.regime,
+            rows.append({**lead, "x": rep.resources["x"], "regime": rep.regime,
                          "variance_reduction":
                              rep.prediction("variance_reduction")})
         else:
             rep = single_shot_flat(sp, sc.prior.width, sc.prior.lower)
-            rows.append({"L": L, "Delta": float(sp.Delta),
-                         "t1": rep.resources["t1"],
-                         "predicted_mse": rep.prediction("predicted_mse"),
-                         "asymptotic_mse": rep.prediction("asymptotic_mse"),
-                         "holevo_mse": rep.prediction("holevo_mse")})
+            rows.append({**lead, "t1": rep.resources["t1"],
+                         **{k: rep.prediction(k) for k in flat_labels}})
+    return rows
+
+
+def _sweep_L(built, grid) -> dict:
+    base = built.spectrum
+    per_level = float(base.Delta) / base.L  # hold Delta/L fixed
+    spectra = (_uniform_spectrum(L, per_level * L) for L in _int_grid(grid, 2))
+    rows = _ladder_rows(built, (({"L": sp.L, "Delta": float(sp.Delta)}, sp)
+                                for sp in spectra),
+                        ("predicted_mse", "asymptotic_mse", "holevo_mse"))
     comments = ["axis L holds Delta/L fixed at the base spectrum's value",
                 "formula: predicted_mse = W0^2/(4 (L-1)^2)",
                 "formula: asymptotic_mse = W0^2/(4 L^2)",
@@ -245,24 +260,13 @@ def _sweep_L(built, grid) -> dict:
 
 
 def _sweep_Delta(built, grid) -> dict:
-    sc = built.scenario
     L = built.spectrum.L
-    rows = []
-    for d in np.linspace(*grid):
-        if d <= 0:
-            raise ScenarioError("Delta grid must be positive")
-        sp = _uniform_spectrum(L, float(d))
-        if sc.protocol.kind == "fixed_time":
-            rep = fixed_time_single_shot(sp, built.prior, sc.protocol.t)
-            rows.append({"Delta": float(d), "x": rep.resources["x"],
-                         "regime": rep.regime,
-                         "variance_reduction":
-                             rep.prediction("variance_reduction")})
-        else:
-            rep = single_shot_flat(sp, sc.prior.width, sc.prior.lower)
-            rows.append({"Delta": float(d), "t1": rep.resources["t1"],
-                         "predicted_mse": rep.prediction("predicted_mse"),
-                         "holevo_mse": rep.prediction("holevo_mse")})
+    deltas = [float(d) for d in np.linspace(*grid)]
+    if min(deltas) <= 0:
+        raise ScenarioError("Delta grid must be positive")
+    rows = _ladder_rows(built, (({"Delta": d}, _uniform_spectrum(L, d))
+                                for d in deltas),
+                        ("predicted_mse", "holevo_mse"))
     comments = ["axis Delta holds L fixed; precision predictions depend on "
                 "L only, while t1 = 2 pi (L-1)/(W0 Delta) trades range for "
                 "time",
@@ -275,11 +279,7 @@ def _sweep_N(grid) -> dict:
     Ns = [n for n in _int_grid(grid, 4) if n % 2 == 0]
     if not Ns:
         raise ScenarioError("axis N needs even integers >= 4 in the grid")
-    rows = []
-    for r in table_rows(tuple(Ns)):
-        rows.append({"family": r["family"], "N": r["N"],
-                     "range": float(r["range"]), "levels": r["levels"],
-                     "gap": float(r["gap"])})
+    rows = _table(("family", "N", "range", "levels", "gap"), tuple(Ns))
     comments = ["formula: ranges and level counts as in table1"]
     return {"comments": comments, "meta": {"axis": "N"}, "rows": rows}
 
@@ -397,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     command("spectrum", cmd_spectrum, "protected configurations and the "
             "effective level ladder", "--scenario")
     p = command("table1", cmd_table1, "placement family scaling table")
-    p.add_argument("--sizes", default=None,
+    p.add_argument("--sizes", type=_sizes, default=(),
                    help="comma-separated even N values (default 4..16)")
     command("protocol", cmd_protocol, "plan a protocol and report predicted "
             "precision", "--scenario", "--simulate", "--trials", "--seed")

@@ -3,8 +3,8 @@
 Each float cut-off that decides an exact condition of the schemes (rank,
 orthogonality, level equality, uniform spacing, density positivity), each
 round-off slack or floor a construction compares against, each regime
-boundary and the enumeration guard is one fixed module constant, defined
-here once and read by the functions that apply it.
+boundary, the enumeration guard and the closed-form ladder cap is one fixed
+module constant, defined here once and read by the functions that apply it.
 """
 
 from __future__ import annotations
@@ -53,6 +53,7 @@ SINE_BAND_HI = 1.0
 
 # enumeration guards
 ENUMERATION_GUARD = 2 ** 24
+PREDICTED_LEVEL_CAP = 2 ** 16  # longest closed-form ladder PlacementPlan.predicted_levels lists
 
 
 def worker_count() -> int:

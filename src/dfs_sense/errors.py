@@ -1,7 +1,8 @@
 """Exception taxonomy shared by all modules.
 
 Each class marks one infeasibility mode so the CLI can map failures to
-stable exit codes (see cli.EXIT_*).
+stable exit codes (``cli.main``; the codes are listed in the ``cli`` module
+docstring).
 """
 
 

@@ -222,8 +222,6 @@ class EstimationSummary:
     holevo_stderr: float
     nu: int = 1
     extra: dict = factory(dict)
-    # one row per trial, fields omega, outcome, estimate, error (records=True)
-    records: np.ndarray | None = None
 
     def to_dict(self) -> dict:
         d = {
@@ -237,8 +235,8 @@ class EstimationSummary:
         return d
 
 
-def _summarize(kind: str, t: float, seed: int, stats, nu: int, extra: dict,
-               records: np.ndarray | None = None) -> EstimationSummary:
+def _summarize(kind: str, t: float, seed: int, stats, nu: int, extra: dict
+               ) -> EstimationSummary:
     """Summary of merged moments whose columns start e^2, cos r, sin r (e the
     error, r the phase residual); the 95 % interval is mse +- 1.96 mse_stderr."""
     n, mean, com = stats
@@ -248,14 +246,12 @@ def _summarize(kind: str, t: float, seed: int, stats, nu: int, extra: dict,
     return EstimationSummary(kind=kind, trials=n, seed=seed, t=t,
                              mse=mse, mse_stderr=se, ci_low=mse - 1.96 * se,
                              ci_high=mse + 1.96 * se, holevo=hol,
-                             holevo_stderr=hol_se, nu=nu, extra=extra,
-                             records=records)
+                             holevo_stderr=hol_se, nu=nu, extra=extra)
 
 
 def run_estimation_trials(probe_or_rho, spectrum: EffectiveSpectrum,
                           prior: FlatPrior, t: float, trials: int, seed: int,
-                          nu: int = 1, records: bool = False
-                          ) -> EstimationSummary:
+                          nu: int = 1) -> EstimationSummary:
     """Flat-prior estimation with the canonical measurement, nu shots per trial.
 
     Per trial: draw omega uniform on the prior window, apply phase
@@ -273,42 +269,34 @@ def run_estimation_trials(probe_or_rho, spectrum: EffectiveSpectrum,
         raise ValueError("spectrum gap must be positive")
     sampler = CanonicalSampler(probe_or_rho)
     tg = t * g
-    W0, lo0 = prior.width, prior.lower
-    names = ("omega", "outcome", "estimate", "error")
-    recs = np.empty(trials, [(k, float) for k in names]) if records else None
 
     def shots(rng, size):
-        """Circular-mean residuals and first outcomes of size trials.
+        """Circular-mean residuals of size trials.
 
         The (size, nu) outcomes are drawn row-major in row blocks of at most
         _DRAW_BLOCK outcomes: the stream is that of one (size, nu) draw.
         """
         if nu == 1:
-            y = sampler.sample(rng, size)
-            return wrap_pi(y), y
-        resid, first = np.empty(size), np.empty(size)
+            return wrap_pi(sampler.sample(rng, size))
+        resid = np.empty(size)
         step = max(1, _DRAW_BLOCK // nu)
         for i in range(0, size, step):
             y = sampler.sample(rng, (min(step, size - i), nu))
             resid[i:i + len(y)] = np.angle(np.exp(1j * y).sum(axis=1))
-            first[i:i + len(y)] = y[:, 0]
-        return resid, first
+        return resid
 
-    def chunk_fn(rng, size, start):
-        u = rng.random(size) * W0
-        resid, first = shots(rng, size)
+    def chunk_fn(rng, size, _start):
+        # omega's offset in the prior window: the draw keeps the stream, but
+        # the covariant measurement's error does not depend on it
+        rng.random(size)
+        resid = shots(rng, size)
         err = resid / tg
-        if records:
-            omega = lo0 + u
-            rows = recs[start:start + size]
-            rows["omega"], rows["estimate"], rows["error"] = omega, omega + err, err
-            rows["outcome"] = np.mod(first + omega * tg, 2 * np.pi)
         return err * err, np.cos(resid), np.sin(resid), resid ** 2
 
     stats = _run_chunked(trials, seed, chunk_fn)
     extra = {"phase_mse": float(stats[1][3]), "window": 2 * np.pi / tg}
     return _summarize("single_shot_flat" if nu == 1 else "repeat", t, seed,
-                      stats, nu, extra, recs)
+                      stats, nu, extra)
 
 
 def simulate_fixed_time(probe_or_rho, spectrum: EffectiveSpectrum,

@@ -16,6 +16,10 @@ values. Plans therefore carry both the conventional numbers
 (``table_range``, ``table_level_count``) and the enumeration-consistent
 prediction (``predicted_*``, with qubits contributing +-1/2), which
 exact enumeration reproduces.
+
+The linear and exponential families are written once each, for any monotone
+profile (``arbitrary_*_placement`` invert it at the target values); the named
+placements are the gradient case f(r) = r, with each site at its exact target.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .config import PROFILE_INVERSE_RTOL
+from .config import PREDICTED_LEVEL_CAP, PROFILE_INVERSE_RTOL
 from .control import EffectiveSpectrum, _check_guard, _reachable_sums
 from .errors import TooLarge, Unreachable
 from .fields import Number, NoiseModel, SensorArray, SpatialField, _numbers
@@ -74,11 +78,11 @@ class PlacementPlan:
     def uniform_noise(self) -> NoiseModel:
         return NoiseModel((SpatialField((1,) * self.J, label="noise:0"),))
 
-    def predicted_levels(self, max_levels: int = 1 << 16) -> tuple[Number, ...]:
-        """The closed-form level ladder (exact)."""
-        if self.predicted_level_count > max_levels:
-            raise TooLarge(
-                f"{self.predicted_level_count} levels exceed the explicit cap {max_levels}")
+    def predicted_levels(self) -> tuple[Number, ...]:
+        """The closed-form level ladder (exact), at most PREDICTED_LEVEL_CAP levels."""
+        if self.predicted_level_count > PREDICTED_LEVEL_CAP:
+            raise TooLarge(f"{self.predicted_level_count} levels exceed the "
+                           f"explicit cap {PREDICTED_LEVEL_CAP}")
         lo = -self.predicted_range / 2
         gap = self.predicted_gap
         return tuple(lo + k * gap for k in range(self.predicted_level_count))
@@ -134,62 +138,93 @@ def two_point_placement(N: int) -> PlacementPlan:
     )
 
 
-def linear_placement(N: int) -> PlacementPlan:
-    """Qubits on the uniform grid r_{+-j} = +-(j - 1/2)/(N - 1).
-
-    Range N^2/(4(N-1)), minimal gap 1/(N-1); every multiple of the gap is
-    reachable, giving N^2/4 + 1 distinct levels (the conventional table
-    counts the N^2/4 gaps).
-    """
+def _linear_plan(family: str, N: int, a: Number, b: Number,
+                 place: Callable[[tuple], tuple]) -> PlacementPlan:
+    """Sites at place(f) for the signal targets f_j = a (j - 1/2 - N/2)/(N - 1)
+    + b, j = 1..N (b drops out of the uniform-noise projection): range
+    |a| N^2/(4(N-1)), gap |a|/(N-1), N^2/4 + 1 distinct levels."""
     _even(N)
-    half = N // 2
-    right = [Fraction(2 * j - 1, 2 * (N - 1)) for j in range(1, half + 1)]
-    positions = tuple(-r for r in reversed(right)) + tuple(right)
-    count = N * N // 4 + 1
+    if float(a) == 0.0:
+        raise ValueError("a must be nonzero")
+    a, b = _numbers(a, b)
+    # a float times a Fraction step multiplies in floats
+    fvals = tuple(a * Fraction(2 * j - 1 - N, 2 * (N - 1)) + b
+                  for j in range(1, N + 1))
+    mag = abs(a)
+    rng = mag * N * N / (4 * (N - 1))
     return PlacementPlan(
-        family="linear", N=N,
-        positions=positions,
+        family=family, N=N,
+        positions=place(fvals),
         qubit_multiplicity=(1,) * N,
-        signal_values=positions,
-        f_perp_values=positions,
+        signal_values=fvals,
+        f_perp_values=tuple(f - b for f in fvals),
         pairing=None,
-        predicted_range=Fraction(N * N, 4 * (N - 1)),
-        predicted_level_count=count,
-        predicted_gap=Fraction(1, N - 1),
-        table_range=Fraction(N * N, 4 * (N - 1)),
+        predicted_range=rng,
+        predicted_level_count=N * N // 4 + 1,
+        predicted_gap=mag / (N - 1),
+        table_range=rng,
         table_level_count=N * N // 4,
     )
 
 
-def exponential_placement(N: int) -> PlacementPlan:
-    """Qubit pairs at r_{+-j} = +-(1/2)/2^(j-1), antialigned within each pair.
+def _exponential_plan(family: str, N: int, f_max: Number, f_min: Number,
+                      place: Callable[[tuple], tuple]) -> PlacementPlan:
+    """Site pairs at place(f) for the signal targets
+    f_{+-j} = (f_max + f_min +- (f_max - f_min)/2^(j-1))/2, j = 1..N/2.
 
-    Each pair contributes +-r_j to the eigenvalue, so the 2^(N/2) pair-sign
-    patterns tile an equally spaced ladder of range 2(1 - 2^(-N/2)).
+    Antialigned pairs contribute +-(f_j - f_{-j})/2, tiling an equally spaced
+    ladder of 2^(N/2) levels with range 2 a (1 - 2^(-N/2)), a = f_max - f_min.
     """
     _even(N)
     if N > 48:
         raise TooLarge("pair patterns beyond N = 48 are not explicitly representable")
+    if float(f_max) <= float(f_min):
+        raise ValueError("f_max must exceed f_min")
+    f_max, f_min = _numbers(f_max, f_min)
+    a = f_max - f_min
+    mid = (f_max + f_min) / 2
     half = N // 2
-    right = sorted(Fraction(1, 2 ** j) for j in range(1, half + 1))
-    positions = tuple(-r for r in reversed(right)) + tuple(right)
+    spreads = [a / 2 ** j for j in range(1, half + 1)]
+    # site order: ascending profile value, pairs mirrored around the middle
+    fvals = (tuple(sorted((mid - s for s in spreads), key=float))
+             + tuple(sorted((mid + s for s in spreads), key=float)))
     count = 2 ** half
-    rng = 2 * (1 - Fraction(1, count))
-    # pair k joins the sites at -+r_(k+1) in the sorted position tuple
-    pairing = tuple((N - 1 - k, k) for k in range(half))
+    # a float range times the Fraction 1 - 2^(-N/2) multiplies in floats
+    rng = 2 * a * (1 - Fraction(1, count))
     return PlacementPlan(
-        family="exponential", N=N,
-        positions=positions,
+        family=family, N=N,
+        positions=place(fvals),
         qubit_multiplicity=(1,) * N,
-        signal_values=positions,
-        f_perp_values=positions,
-        pairing=pairing,
+        signal_values=fvals,
+        f_perp_values=tuple(f - mid for f in fvals),
+        # pair k joins the sites at -+r_(k+1) in the sorted position tuple
+        pairing=tuple((N - 1 - k, k) for k in range(half)),
         predicted_range=rng,
         predicted_level_count=count,
         predicted_gap=rng / (count - 1),
         table_range=rng,
         table_level_count=count,
     )
+
+
+def linear_placement(N: int) -> PlacementPlan:
+    """Qubits on the uniform grid r_{+-j} = +-(j - 1/2)/(N - 1).
+
+    The linear family at the gradient profile f(r) = r (a = 1, b = 0), so
+    each site sits at its exact target: range N^2/(4(N-1)), gap 1/(N-1),
+    N^2/4 + 1 distinct levels.
+    """
+    return _linear_plan("linear", N, 1, 0, lambda f: f)
+
+
+def exponential_placement(N: int) -> PlacementPlan:
+    """Qubit pairs at r_{+-j} = +-(1/2)/2^(j-1), antialigned within each pair.
+
+    The exponential family at the gradient profile f(r) = r (f_max = 1/2,
+    f_min = -1/2): 2^(N/2) equally spaced levels of range 2(1 - 2^(-N/2)).
+    """
+    return _exponential_plan("exponential", N, Fraction(1, 2), Fraction(-1, 2),
+                             lambda f: f)
 
 
 def _invert(profile: Callable[[float], float],
@@ -232,6 +267,19 @@ def _invert(profile: Callable[[float], float],
     return r
 
 
+def _inverted(profile: Callable[[float], float],
+              inverse: Callable[[float], float] | None,
+              bracket: tuple[float, float] | None) -> Callable[[tuple], tuple]:
+    """The place step of the arbitrary placements: distinct inverted positions."""
+    def place(fvals: tuple) -> tuple:
+        positions = tuple(_invert(profile, inverse, float(f), bracket)
+                          for f in fvals)
+        if len(set(positions)) != len(fvals):
+            raise Unreachable("profile inversion produced coincident positions")
+        return positions
+    return place
+
+
 def arbitrary_linear_placement(profile: Callable[[float], float],
                                inverse: Callable[[float], float] | None,
                                N: int, a: Number, b: Number = 0,
@@ -239,36 +287,11 @@ def arbitrary_linear_placement(profile: Callable[[float], float],
                                ) -> PlacementPlan:
     """Place sensors so a monotone profile samples a uniform value grid.
 
-    Targets f_j = a (j - 1/2 - N/2)/(N - 1) + b for j = 1..N (the constant b
-    is removed by the uniform-noise projection). The protected spectrum is
-    the linear-family ladder scaled by a: range |a| N^2/(4(N-1)), gap
-    |a|/(N-1), N^2/4 + 1 distinct levels.
+    The targets and ladder of ``_linear_plan``; positions come from the
+    caller's inverse, else bisection on the bracket.
     """
-    _even(N)
-    if float(a) == 0.0:
-        raise ValueError("a must be nonzero")
-    a, b = _numbers(a, b)
-    # a float times a Fraction step multiplies in floats
-    fvals = tuple(a * Fraction(2 * j - 1 - N, 2 * (N - 1)) + b
-                  for j in range(1, N + 1))
-    positions = tuple(_invert(profile, inverse, float(f), bracket) for f in fvals)
-    if len(set(positions)) != N:
-        raise Unreachable("profile inversion produced coincident positions")
-    mag = abs(a)
-    rng = mag * N * N / (4 * (N - 1))
-    return PlacementPlan(
-        family="arbitrary_linear", N=N,
-        positions=positions,
-        qubit_multiplicity=(1,) * N,
-        signal_values=fvals,
-        f_perp_values=tuple(f - b for f in fvals),
-        pairing=None,
-        predicted_range=rng,
-        predicted_level_count=N * N // 4 + 1,
-        predicted_gap=mag / (N - 1),
-        table_range=rng,
-        table_level_count=N * N // 4,
-    )
+    return _linear_plan("arbitrary_linear", N, a, b,
+                        _inverted(profile, inverse, bracket))
 
 
 def arbitrary_exponential_placement(profile: Callable[[float], float],
@@ -278,42 +301,11 @@ def arbitrary_exponential_placement(profile: Callable[[float], float],
                                     ) -> PlacementPlan:
     """Pair sensors so profile differences halve pair by pair.
 
-    Pair j targets f(r_{+-j}) = (f_max + f_min +- (f_max - f_min)/2^(j-1))/2;
-    antialigned pairs then contribute +-(f(r_j) - f(r_{-j}))/2, tiling an
-    equally spaced ladder with range 2 a (1 - 2^(-N/2)), a = f_max - f_min.
+    The targets and ladder of ``_exponential_plan``; positions come from
+    the caller's inverse, else bisection on the bracket.
     """
-    _even(N)
-    if N > 48:
-        raise TooLarge("pair patterns beyond N = 48 are not explicitly representable")
-    if float(f_max) <= float(f_min):
-        raise ValueError("f_max must exceed f_min")
-    f_max, f_min = _numbers(f_max, f_min)
-    a = f_max - f_min
-    mid = (f_max + f_min) / 2
-    half = N // 2
-    spreads = [a / 2 ** j for j in range(1, half + 1)]
-    # site order: ascending profile value, pairs mirrored around the middle
-    fvals = (tuple(sorted((mid - s for s in spreads), key=float))
-             + tuple(sorted((mid + s for s in spreads), key=float)))
-    positions = tuple(_invert(profile, inverse, float(f), bracket) for f in fvals)
-    if len(set(positions)) != N:
-        raise Unreachable("profile inversion produced coincident positions")
-    count = 2 ** half
-    # a float range times the Fraction 1 - 2^(-N/2) multiplies in floats
-    rng = 2 * a * (1 - Fraction(1, count))
-    return PlacementPlan(
-        family="arbitrary_exponential", N=N,
-        positions=positions,
-        qubit_multiplicity=(1,) * N,
-        signal_values=fvals,
-        f_perp_values=tuple(f - mid for f in fvals),
-        pairing=tuple((N - 1 - k, k) for k in range(half)),
-        predicted_range=rng,
-        predicted_level_count=count,
-        predicted_gap=rng / (count - 1),
-        table_range=rng,
-        table_level_count=count,
-    )
+    return _exponential_plan("arbitrary_exponential", N, f_max, f_min,
+                             _inverted(profile, inverse, bracket))
 
 
 FAMILIES: dict[str, Callable[[int], PlacementPlan]] = {

@@ -220,20 +220,39 @@ def test_merge_matches_moments_of_joined_columns():
     assert np.allclose(com, want_com, rtol=1e-12, atol=0)
 
 
+def _record_chunks(monkeypatch):
+    """Wrap montecarlo._run_chunked to keep each chunk's columns by start;
+    the returned function joins them in trial order, one row per column."""
+    chunks = {}
+    run = montecarlo._run_chunked
+
+    def recording(trials, seed, chunk_fn):
+        def keep(rng, size, start):
+            chunks[start] = np.vstack(chunk_fn(rng, size, start))
+            return chunks[start]
+        return run(trials, seed, keep)
+
+    monkeypatch.setattr(montecarlo, "_run_chunked", recording)
+    return lambda: np.hstack([chunks[k] for k in sorted(chunks)])
+
+
 @pytest.mark.parametrize("nu", [1, 3])
 def test_merged_summary_matches_records(nu, monkeypatch):
     monkeypatch.setenv("DFS_SENSE_THREADS", "2")
+    columns = _record_chunks(monkeypatch)
     sp = _linear(5, 4.0)
     t = 1.3
     out = run_estimation_trials(berry_wiseman_probe(5), sp, FlatPrior(2.0),
-                                t=t, trials=10_000, seed=4, nu=nu,
-                                records=True)
-    err = out.records["error"]
-    sq = err * err
+                                t=t, trials=10_000, seed=4, nu=nu)
+    sq, cos, sin, resid2 = columns()
+    assert sq.size == 10_000
+    resid = np.arctan2(sin, cos)
+    assert np.allclose(resid ** 2, resid2, rtol=1e-12, atol=0)
+    err = resid / (t * sp.gap)
+    assert np.allclose(err * err, sq, rtol=1e-12, atol=0)
     assert out.mse == pytest.approx(sq.mean(), rel=1e-12)
     assert out.mse_stderr == pytest.approx(
         sq.std(ddof=1) / math.sqrt(sq.size), rel=1e-12)
-    resid = err * (t * sp.gap)
     assert out.extra["phase_mse"] == pytest.approx(np.mean(resid ** 2),
                                                    rel=1e-12)
     hol, hol_se = empirical_holevo(resid)
@@ -283,11 +302,12 @@ def test_repeat_memory_flat_in_nu(monkeypatch):
 def test_repeat_row_blocks_keep_the_stream(monkeypatch):
     sp = _linear(5, 4.0)
     p = berry_wiseman_probe(5)
+    columns = _record_chunks(monkeypatch)
 
     def run():
         out = run_estimation_trials(p, sp, FlatPrior(2 * np.pi), t=1.0,
-                                    trials=5000, seed=4, nu=37, records=True)
-        return out.to_dict(), out.records.tobytes()
+                                    trials=5000, seed=4, nu=37)
+        return out.to_dict(), columns().tobytes()
 
     blocked = run()  # 1771 rows per block: three blocks in the first chunk
     monkeypatch.setattr(montecarlo, "_DRAW_BLOCK", 1 << 40)
@@ -358,30 +378,6 @@ def test_ghz_wrapped_phase_mse():
     assert out.ci_low <= out.mse <= out.ci_high
     # Holevo variance of the extremal probe is 3
     assert abs(out.holevo - 3.0) < 3.0 * out.holevo_stderr
-
-
-def test_records_roundtrip():
-    sp = _linear(3, 2.0)
-    p = berry_wiseman_probe(3)
-    t = 2.0
-    out = run_estimation_trials(p, sp, FlatPrior(1.0, lower=-0.5), t=t,
-                                trials=500, seed=1, records=True)
-    rec = out.records
-    assert rec.dtype.names == ("omega", "outcome", "estimate", "error")
-    assert len(rec) == 500
-    assert np.allclose(rec["estimate"], rec["omega"] + rec["error"],
-                       rtol=0, atol=1e-12)
-    assert np.all((-0.5 <= rec["omega"]) & (rec["omega"] < 0.5))
-    assert np.all((0.0 <= rec["outcome"]) & (rec["outcome"] < 2 * np.pi))
-    # the outcome is the error's phase residual shifted by omega t g
-    tg = t * sp.gap
-    shift = np.mod(rec["outcome"] - rec["omega"] * tg - rec["error"] * tg
-                   + np.pi, 2 * np.pi) - np.pi
-    assert np.max(np.abs(shift)) < 1e-12
-    assert np.mean(rec["error"] ** 2) == pytest.approx(out.mse, rel=1e-12)
-    without = run_estimation_trials(p, sp, FlatPrior(1.0, lower=-0.5), t=t,
-                                    trials=500, seed=1)
-    assert without.records is None and without.to_dict() == out.to_dict()
 
 
 def test_repeat_shots_reduce_mse():

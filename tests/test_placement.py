@@ -1,5 +1,6 @@
 """Placement families: exact spectra, brute-force agreement, inversion."""
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -77,8 +78,8 @@ def test_predicted_levels_are_uniform_and_centered():
 
 def test_predicted_levels_cap():
     p = exponential_placement(40)   # 2^20 levels
-    with pytest.raises(TooLarge):
-        p.predicted_levels(max_levels=1 << 16)
+    with pytest.raises(TooLarge, match="explicit cap 65536"):
+        p.predicted_levels()
     with pytest.raises(TooLarge):
         exponential_placement(50)
 
@@ -170,3 +171,69 @@ def test_arbitrary_inversion_failures():
     with pytest.raises(ValueError):
         arbitrary_exponential_placement(prof, None, f_max=0.1, f_min=0.5, N=4,
                                         bracket=(-5.0, 5.0))
+
+
+# ------------------------------------- named families as the identity case
+
+# sha256 of repr(plan), first 16 hex digits, for the (linear, exponential)
+# placements written out directly: positions +-(j - 1/2)/(N - 1) and
+# +-(1/2)/2^(j-1) as Fractions, with the closed-form ranges and gaps
+_NAMED_REPR_SHA256 = {
+    2: ('4422230ea786c433', 'fe7397026e6b6376'),
+    4: ('cfc2393398bade88', 'de74c3bda3b432ff'),
+    6: ('d8d7403ad2ba4830', '7e304ebec06d8593'),
+    8: ('7a944ce195fce42b', 'c12a8cb56c89dccc'),
+    10: ('093c7e101b932d35', 'f0f377ef7c576559'),
+    12: ('53e9071a42621798', '415f484ede21ab7a'),
+    14: ('c4dadf1cea9809bc', '15ed4a73b74ec35d'),
+    16: ('02dd2d0c09d51122', '0f6f49b8d1ee379d'),
+    18: ('d37dc708bd15459e', '46951c8be11495bf'),
+    20: ('de720cc1b9df2a99', 'b2735bc436ded30d'),
+    22: ('03426b3c052078d3', 'bf43b7f33db600ec'),
+    24: ('848acd0161e77874', '225a4ecbabc79f37'),
+    26: ('2085e3d569180cd3', '778d6d2fc9f6403b'),
+    28: ('4b3a04c3b96670eb', '1e62e2508a30691f'),
+    30: ('0208b8ec3a49c0f6', '9337da08dd05cb26'),
+    32: ('6c977a51c6001613', 'c1ce14cbde4542e2'),
+    34: ('55f8962cd76fee97', 'de76d97bf2d95728'),
+    36: ('41ea0981822d866b', 'e9610d2cb3c2fcef'),
+    38: ('87506c51419a0b70', 'dd9240e18c56dc04'),
+    40: ('304a8038d7dd89ae', '2c68f6544488a635'),
+    42: ('a51ea071530cb4ed', 'df3ad50d0d1cd7a0'),
+    44: ('2a920b929259fa6b', 'fdad6aadc6e75951'),
+    46: ('2a75ea0c77c590e0', '695e4202a4a87dd7'),
+    48: ('7fce6bf2854200ba', '09913de2c2787efc'),
+}
+
+
+@pytest.mark.parametrize("N", sorted(_NAMED_REPR_SHA256))
+def test_named_plans_keep_their_repr(N):
+    got = tuple(hashlib.sha256(repr(build(N)).encode()).hexdigest()[:16]
+                for build in (linear_placement, exponential_placement))
+    assert got == _NAMED_REPR_SHA256[N]
+
+
+def _same_fields(named, arbitrary, family):
+    assert named.family == family
+    assert arbitrary.family == "arbitrary_" + family
+    assert all(type(r) is Fraction for r in named.positions)
+    assert all(type(r) is float for r in arbitrary.positions)
+    assert arbitrary.positions == tuple(float(r) for r in named.positions)
+    for name in ("N", "qubit_multiplicity", "signal_values", "f_perp_values",
+                 "pairing", "predicted_range", "predicted_level_count",
+                 "predicted_gap", "table_range", "table_level_count"):
+        want, got = getattr(named, name), getattr(arbitrary, name)
+        assert got == want, name
+        pairs = zip(got, want) if isinstance(want, tuple) else [(got, want)]
+        assert all(type(g) is type(w) for g, w in pairs), name
+
+
+@pytest.mark.parametrize("N", range(2, 49, 2))
+def test_named_plans_are_the_identity_profile_case(N):
+    ident = lambda r: r
+    _same_fields(linear_placement(N),
+                 arbitrary_linear_placement(ident, ident, N, a=1), "linear")
+    _same_fields(exponential_placement(N),
+                 arbitrary_exponential_placement(ident, ident, Fraction(1, 2),
+                                                 Fraction(-1, 2), N),
+                 "exponential")

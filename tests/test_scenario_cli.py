@@ -412,6 +412,19 @@ def test_cli_rejects_flags_the_command_ignores(argv):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("sizes", ["abc", "4,,6", "3", "0", "-2"])
+def test_cli_malformed_table1_sizes_are_usage_errors(sizes, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["table1", "--sizes", sizes])
+    assert exc.value.code == 2
+    assert "argument --sizes:" in capsys.readouterr().err
+
+
+def test_cli_table1_oversize_exponential_is_infeasible(capsys):
+    assert cli.main(["table1", "--sizes", "4,50"]) == 3
+    assert "N = 48" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ["protocol", "--simulate", "--trials", "0"],
     ["protocol", "--simulate", "--trials", "1"],
