@@ -52,9 +52,6 @@ class GaussianPrior:
             raise ValueError("prior width must be positive")
 
 
-Prior = FlatPrior | GaussianPrior
-
-
 @record
 class ProbeState:
     """Complex amplitudes over the levels of an effective spectrum."""
@@ -413,9 +410,9 @@ class _GuidedInterp:
     own expression, slope_j (x - xp_j) + fp_j with the same slope bits,
     and fp[-1] at x = xp[-1] (the zero slope appended after the last
     knot). Where a slope np.interp can use is not finite, or fp holds -0.0,
-    its end cases are applied too: fp_j wherever x = xp_j, and its NaN
-    retry from the right-hand knot. Read-only after construction, so
-    threads can share it.
+    np.interp's end cases (exact-knot values, the NaN retry) can differ
+    from that expression, so the call goes to np.interp itself. Read-only
+    after construction, so threads can share it.
     """
 
     def __init__(self, xp, fp):
@@ -436,25 +433,16 @@ class _GuidedInterp:
                            and not np.any(np.signbit(fp) & (fp == 0.0)))
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
+        if not self._plain:
+            return np.interp(x, self._xp, self._fp)
         j = self._guide[(x * self._scale).astype(np.intp)]
         j += self._next[j] <= x
         short = self._next[j] <= x
         if short.any():
             j[short] = np.searchsorted(self._xp, x[short], "right") - 1
-        xj = self._xp[j]
-        out = x - xj
+        out = x - self._xp[j]
         out *= self._slopes[j]
         out += self._fp[j]
-        if not self._plain:
-            hit = x == xj  # always so for j = len(xp) - 1
-            bad = np.isnan(out) & ~hit
-            if bad.any():
-                jb = j[bad]
-                retry = self._slopes[jb] * (x[bad] - self._next[jb]) + self._fp[jb + 1]
-                same = np.isnan(retry) & (self._fp[jb] == self._fp[jb + 1])
-                retry[same] = self._fp[jb][same]
-                out[bad] = retry
-            out[hit] = self._fp[j[hit]]
         return out
 
 
@@ -497,8 +485,7 @@ class CanonicalSampler:
         base = self._inverse_cdf(rng.random(size))
         return np.mod(base + shift, 2.0 * np.pi)
 
-    def posterior_mean_table(self, prior_mean: float, prior_width: float,
-                             tg: float) -> np.ndarray:
+    def posterior_mean_table(self, prior: GaussianPrior, tg: float) -> np.ndarray:
         """Posterior mean of omega given the outcome theta at each of the knots.
 
         The outcome density at true omega is p0(theta - omega tg), with
@@ -513,10 +500,10 @@ class CanonicalSampler:
         """
         r = self.coherence_sums
         d = np.arange(len(r))
-        a = r * np.exp(-1j * d * tg * prior_mean - 0.5 * (d * tg * prior_width) ** 2)
+        a = r * np.exp(-1j * d * tg * prior.mean - 0.5 * (d * tg * prior.width) ** 2)
         n = len(self.thetas)
         den = _fourier_grid(a, n)
-        num = _fourier_grid(a * (prior_mean - 1j * d * tg * prior_width ** 2), n)
+        num = _fourier_grid(a * (prior.mean - 1j * d * tg * prior.width ** 2), n)
         # round-off floor POSTERIOR_FLOOR_RTOL sum|a_d|: FFT round-off in D stays
         # below 1e-14 sum|a_d| on every grid used, so a smaller margin is noise
         if den.min() <= POSTERIOR_FLOOR_RTOL * np.abs(a).sum():

@@ -197,24 +197,31 @@ def cmd_protocol(args) -> dict:
     return payload
 
 
+# formula comments of the fixed-time rows, on the t, L and Delta axes
+_FIXED_TIME_FORMULAS = ("formula: variance_reduction = 1 - W0^2 F(rho_bar)",
+                        "formula: extremal_closed_form = 1 - x^2 exp(-x^2), "
+                        "x = t W0 Delta")
+
+
 def _sweep_t(built, grid) -> dict:
     sc = built.scenario
     if sc.protocol.kind != "fixed_time":
         raise ScenarioError("axis t requires a fixed_time protocol",
                             "protocol.kind")
+    times = [float(t) for t in np.linspace(*grid)]
+    if min(times) <= 0:
+        raise ScenarioError("t grid must be positive")
     rows = []
-    for t in np.linspace(*grid):
-        rep = fixed_time_single_shot(built.spectrum, built.prior, float(t))
-        row = {"t": float(t), "x": rep.resources["x"],
+    for t in times:
+        rep = fixed_time_single_shot(built.spectrum, sc.prior, t)
+        row = {"t": t, "x": rep.resources["x"],
                "regime": rep.regime,
                "variance_reduction": rep.prediction("variance_reduction"),
                "extremal_closed_form": ghz_reduction(rep.resources["x"]),
                "probe": rep.resources["probe"]}
         rows.append(row)
-    comments = ["formula: variance_reduction = 1 - W0^2 F(rho_bar)",
-                "formula: extremal_closed_form = 1 - x^2 exp(-x^2), "
-                "x = t W0 Delta"]
-    return {"comments": comments, "meta": {"axis": "t"}, "rows": rows}
+    return {"comments": list(_FIXED_TIME_FORMULAS), "meta": {"axis": "t"},
+            "rows": rows}
 
 
 def _int_grid(grid, minimum: int) -> list[int]:
@@ -233,12 +240,12 @@ def _ladder_rows(built, points, flat_labels: tuple[str, ...]) -> list[dict]:
     rows = []
     for lead, sp in points:
         if sc.protocol.kind == "fixed_time":
-            rep = fixed_time_single_shot(sp, built.prior, sc.protocol.t)
+            rep = fixed_time_single_shot(sp, sc.prior, sc.protocol.t)
             rows.append({**lead, "x": rep.resources["x"], "regime": rep.regime,
                          "variance_reduction":
                              rep.prediction("variance_reduction")})
         else:
-            rep = single_shot_flat(sp, sc.prior.width, sc.prior.lower)
+            rep = single_shot_flat(sp, sc.prior)
             rows.append({**lead, "t1": rep.resources["t1"],
                          **{k: rep.prediction(k) for k in flat_labels}})
     return rows
@@ -251,10 +258,13 @@ def _sweep_L(built, grid) -> dict:
     rows = _ladder_rows(built, (({"L": sp.L, "Delta": float(sp.Delta)}, sp)
                                 for sp in spectra),
                         ("predicted_mse", "asymptotic_mse", "holevo_mse"))
-    comments = ["axis L holds Delta/L fixed at the base spectrum's value",
-                "formula: predicted_mse = W0^2/(4 (L-1)^2)",
-                "formula: asymptotic_mse = W0^2/(4 L^2)",
-                "formula: holevo_mse = (W0/(2 pi))^2 tan^2(pi/(L+1))"]
+    comments = ["axis L holds Delta/L fixed at the base spectrum's value"]
+    if built.scenario.protocol.kind == "fixed_time":
+        comments += _FIXED_TIME_FORMULAS
+    else:
+        comments += ["formula: predicted_mse = W0^2/(4 (L-1)^2)",
+                     "formula: asymptotic_mse = W0^2/(4 L^2)",
+                     "formula: holevo_mse = (W0/(2 pi))^2 tan^2(pi/(L+1))"]
     return {"comments": comments,
             "meta": {"axis": "L", "Delta_per_level": per_level}, "rows": rows}
 
@@ -267,10 +277,13 @@ def _sweep_Delta(built, grid) -> dict:
     rows = _ladder_rows(built, (({"Delta": d}, _uniform_spectrum(L, d))
                                 for d in deltas),
                         ("predicted_mse", "holevo_mse"))
-    comments = ["axis Delta holds L fixed; precision predictions depend on "
-                "L only, while t1 = 2 pi (L-1)/(W0 Delta) trades range for "
-                "time",
-                "formula: t1 = 2 pi (L-1)/(W0 Delta)"]
+    if built.scenario.protocol.kind == "fixed_time":
+        comments = ["axis Delta holds L fixed", *_FIXED_TIME_FORMULAS]
+    else:
+        comments = ["axis Delta holds L fixed; precision predictions depend "
+                    "on L only, while t1 = 2 pi (L-1)/(W0 Delta) trades "
+                    "range for time",
+                    "formula: t1 = 2 pi (L-1)/(W0 Delta)"]
     return {"comments": comments, "meta": {"axis": "Delta", "L": L},
             "rows": rows}
 

@@ -22,9 +22,9 @@ from functools import reduce
 
 import numpy as np
 
-from .bayes import (CanonicalSampler, FlatPrior, _GuidedInterp, _moments,
-                    empirical_holevo, wrap_pi)
-from .config import DEPHASE_SNAP_RTOL, worker_count
+from .bayes import (CanonicalSampler, FlatPrior, GaussianPrior, _GuidedInterp,
+                    _moments, empirical_holevo, wrap_pi)
+from .config import DEPHASE_SNAP_RTOL, TIME_SLACK, worker_count
 from .control import EffectiveSpectrum
 from .errors import InsufficientTime
 from .records import factory, record
@@ -258,7 +258,9 @@ def run_estimation_trials(probe_or_rho, spectrum: EffectiveSpectrum,
     omega t g per level index (g the spectrum gap), measure nu outcomes,
     combine them by circular mean, invert to an omega estimate in the
     window anchored at the prior's lower edge. Error is the circular
-    residual with period 2pi/(t g).
+    residual with period 2pi/(t g), so the prior width W0 must fit in one
+    period: t g W0 above 2pi (up to TIME_SLACK) raises ValueError, as a
+    shorter period would hide the branch (aliasing) errors.
     """
     if nu < 1:
         raise ValueError("nu must be positive")
@@ -267,6 +269,9 @@ def run_estimation_trials(probe_or_rho, spectrum: EffectiveSpectrum,
     g = spectrum.gap
     if g <= 0:
         raise ValueError("spectrum gap must be positive")
+    if t * g * prior.width > 2.0 * np.pi * (1.0 + TIME_SLACK):
+        raise ValueError("t g W0 exceeds 2 pi: the prior width does not fit "
+                         "in one phase period")
     sampler = CanonicalSampler(probe_or_rho)
     tg = t * g
 
@@ -300,8 +305,8 @@ def run_estimation_trials(probe_or_rho, spectrum: EffectiveSpectrum,
 
 
 def simulate_fixed_time(probe_or_rho, spectrum: EffectiveSpectrum,
-                        prior_mean: float, prior_width: float, t: float,
-                        trials: int, seed: int) -> EstimationSummary:
+                        prior: GaussianPrior, t: float, trials: int, seed: int
+                        ) -> EstimationSummary:
     """Gaussian-prior estimation at a fixed interrogation time.
 
     The estimator is the exact posterior mean of omega given the canonical
@@ -316,11 +321,11 @@ def simulate_fixed_time(probe_or_rho, spectrum: EffectiveSpectrum,
     tg = t * spectrum.gap
     # the table ends at the wrap point 2 pi with its first value, so theta in
     # [0, 2 pi], 2 pi included, needs no periodic wrap
-    posterior_mean = _GuidedInterp(
-        sampler.knots, sampler.posterior_mean_table(prior_mean, prior_width, tg))
+    posterior_mean = _GuidedInterp(sampler.knots,
+                                   sampler.posterior_mean_table(prior, tg))
 
     def chunk_fn(rng, size, _start):
-        omega = rng.normal(prior_mean, prior_width, size)
+        omega = rng.normal(prior.mean, prior.width, size)
         y = sampler.sample(rng, size)
         theta = np.mod(y + omega * tg, 2.0 * np.pi)
         err = posterior_mean(theta) - omega
@@ -329,8 +334,8 @@ def simulate_fixed_time(probe_or_rho, spectrum: EffectiveSpectrum,
 
     out = _summarize("fixed_time", t, seed,
                      _run_chunked(trials, seed, chunk_fn), 1, {})
-    out.extra.update(reduction_hat=out.mse / prior_width ** 2,
-                     reduction_hat_stderr=out.mse_stderr / prior_width ** 2)
+    out.extra.update(reduction_hat=out.mse / prior.width ** 2,
+                     reduction_hat_stderr=out.mse_stderr / prior.width ** 2)
     return out
 
 

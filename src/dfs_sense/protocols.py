@@ -1,6 +1,8 @@
 """Estimation protocols over an effective spectrum.
 
-Each planner returns a ProtocolReport: closed-form precision predictions
+Each planner takes the spectrum, the prior record (FlatPrior, or
+GaussianPrior for fixed_time) and its time budget, and hands that prior
+to the Monte Carlo. It returns a ProtocolReport: closed-form predictions
 (each tagged with the formula it came from), the resource accounting, and
 optionally an attached Monte-Carlo simulation of the same protocol. Two
 textbook forms of the repeated-protocol error differ by a floor/constant
@@ -86,18 +88,19 @@ def base_time(spectrum: EffectiveSpectrum, width: float) -> float:
     return 2.0 * math.pi / (width * spectrum.gap)
 
 
+PROBES = {"sine": berry_wiseman_probe, "ghz": ghz_probe, "uniform": uniform_probe}
+
+
 def _resolve_probe(probe, spectrum: EffectiveSpectrum) -> ProbeState:
+    """A ProbeState as given, or the one PROBES names; None means the sine probe."""
     if isinstance(probe, ProbeState):
         if probe.L != spectrum.L:
             raise ValueError("probe level count does not match spectrum")
         return probe
-    if probe in (None, "sine"):
-        return berry_wiseman_probe(spectrum)
-    if probe == "ghz":
-        return ghz_probe(spectrum)
-    if probe == "uniform":
-        return uniform_probe(spectrum)
-    raise ValueError(f"unknown probe {probe!r}")
+    name = "sine" if probe is None else probe
+    if not isinstance(name, str) or name not in PROBES:
+        raise ValueError(f"unknown probe {probe!r}")
+    return PROBES[name](spectrum)
 
 
 def _require_linear(spectrum: EffectiveSpectrum):
@@ -105,10 +108,10 @@ def _require_linear(spectrum: EffectiveSpectrum):
         raise NotLinear("protocol assumes uniformly spaced levels")
 
 
-def single_shot_flat(spectrum: EffectiveSpectrum, width: float,
-                     lower: float = 0.0, probe=None, simulate: bool = False,
-                     trials: int = 100_000, seed: int = 0) -> ProtocolReport:
-    """One interrogation of length t1 under a flat prior of the given width.
+def single_shot_flat(spectrum: EffectiveSpectrum, prior: FlatPrior, probe=None,
+                     simulate: bool = False, trials: int = 100_000,
+                     seed: int = 0) -> ProtocolReport:
+    """One interrogation of length t1 under a flat prior of width W0.
 
     The sine probe saturates the single-shot bound; predictions cover the
     finite-L window variance, its large-L form, and the exact Holevo
@@ -116,6 +119,7 @@ def single_shot_flat(spectrum: EffectiveSpectrum, width: float,
     """
     _require_linear(spectrum)
     L = spectrum.L
+    width = prior.width
     t1 = base_time(spectrum, width)
     hol_phase = math.tan(math.pi / (L + 1)) ** 2
     preds = (
@@ -131,16 +135,14 @@ def single_shot_flat(spectrum: EffectiveSpectrum, width: float,
     sim = None
     if simulate:
         p = _resolve_probe(probe, spectrum)
-        sim = run_estimation_trials(p, spectrum, FlatPrior(width, lower), t1,
-                                    trials, seed)
+        sim = run_estimation_trials(p, spectrum, prior, t1, trials, seed)
     return ProtocolReport(kind="single_shot_flat", predictions=preds,
                           resources=resources, simulation=sim)
 
 
-def repeat_protocol(spectrum: EffectiveSpectrum, width: float,
-                    total_time: float, lower: float = 0.0, probe=None,
-                    simulate: bool = False, trials: int = 100_000,
-                    seed: int = 0) -> ProtocolReport:
+def repeat_protocol(spectrum: EffectiveSpectrum, prior: FlatPrior,
+                    total_time: float, probe=None, simulate: bool = False,
+                    trials: int = 100_000, seed: int = 0) -> ProtocolReport:
     """nu = floor(T/t1) independent shots, combined without prior updates.
 
     Two standard error forms are reported: the per-shot window variance
@@ -150,6 +152,7 @@ def repeat_protocol(spectrum: EffectiveSpectrum, width: float,
     """
     _require_linear(spectrum)
     L = spectrum.L
+    width = prior.width
     t1 = base_time(spectrum, width)
     if total_time < t1 * (1.0 - TIME_SLACK):
         raise InsufficientTime(
@@ -168,16 +171,14 @@ def repeat_protocol(spectrum: EffectiveSpectrum, width: float,
     sim = None
     if simulate:
         p = _resolve_probe(probe, spectrum)
-        sim = run_estimation_trials(p, spectrum, FlatPrior(width, lower), t1,
-                                    trials, seed, nu=nu)
+        sim = run_estimation_trials(p, spectrum, prior, t1, trials, seed, nu=nu)
     return ProtocolReport(kind="repeat", predictions=preds,
                           resources=resources, simulation=sim)
 
 
-def adaptive_schedule(spectrum: EffectiveSpectrum, width: float,
-                      total_time: float, lower: float = 0.0, probe=None,
-                      simulate: bool = False, trials: int = 100_000,
-                      seed: int = 0) -> ProtocolReport:
+def adaptive_schedule(spectrum: EffectiveSpectrum, prior: FlatPrior,
+                      total_time: float, probe=None, simulate: bool = False,
+                      trials: int = 100_000, seed: int = 0) -> ProtocolReport:
     """Shrinking-window schedule: each round narrows the prior by 2L.
 
     Round k runs for t_k = t1 (2L)^(k-1) and leaves width W_k = W0 (2L)^-k.
@@ -187,6 +188,7 @@ def adaptive_schedule(spectrum: EffectiveSpectrum, width: float,
     """
     _require_linear(spectrum)
     L = spectrum.L
+    width = prior.width
     t1 = base_time(spectrum, width)
     x = spectrum.Delta * width * total_time / math.pi
     # strict comparison keeps W_n T Delta >= pi exact; a float boundary can
@@ -219,8 +221,7 @@ def adaptive_schedule(spectrum: EffectiveSpectrum, width: float,
     sim = None
     if simulate:
         pr = _resolve_probe(probe, spectrum)
-        sim = simulate_adaptive(pr, spectrum, FlatPrior(width, lower),
-                                widths, times, trials, seed)
+        sim = simulate_adaptive(pr, spectrum, prior, widths, times, trials, seed)
     return ProtocolReport(kind="adaptive", predictions=preds,
                           resources=resources,
                           schedule=tuple(zip(times, widths)), simulation=sim)
@@ -286,8 +287,7 @@ def fixed_time_single_shot(spectrum: EffectiveSpectrum, prior: GaussianPrior,
                  "width": prior.width, "probe": "ghz" if is_ghz else name}
     sim = None
     if simulate:
-        sim = simulate_fixed_time(pstate, spectrum, prior.mean, prior.width,
-                                  t, trials, seed)
+        sim = simulate_fixed_time(pstate, spectrum, prior, t, trials, seed)
     return ProtocolReport(kind="fixed_time", predictions=tuple(preds),
                           resources=resources, regime=regime,
                           recommendation=recommendation, simulation=sim)

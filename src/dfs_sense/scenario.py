@@ -9,7 +9,9 @@ or a named placement family ({"placement": "linear", "N": 8}). Field specs
 give explicit per-site values or a named profile (constant, gradient,
 power_law(alpha, source)), each with an optional amplitude. Noise entries
 additionally accept a dephasing strength sigma and phase kind
-(gaussian | uniform) used by the coherence checks.
+(gaussian | uniform) used by the coherence checks. prior parses to the
+record the planners take, FlatPrior(width, lower) or GaussianPrior(width,
+mean), and Scenario.prior holds it.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .records import record
 _PROFILES = ("constant", "gradient", "power_law")
 _PRIOR_KINDS = ("flat", "gaussian")
 _PROTOCOLS = ("single_shot_flat", "repeat", "adaptive", "fixed_time")
-_PROBES = ("sine", "ghz", "uniform")
+_PROBES = tuple(protocols.PROBES)
 _PHASES = ("gaussian", "uniform")
 
 
@@ -125,22 +127,6 @@ class FieldSpec:
 
 
 @record
-class PriorSpec:
-    kind: str
-    width: float
-    lower: float = 0.0
-    mean: float = 0.0
-
-    def to_dict(self) -> dict:
-        d = {"kind": self.kind, "width": self.width}
-        if self.kind == "flat" and self.lower != 0.0:
-            d["lower"] = self.lower
-        if self.kind == "gaussian" and self.mean != 0.0:
-            d["mean"] = self.mean
-        return d
-
-
-@record
 class ProtocolSpec:
     kind: str
     total_time: float | None = None
@@ -163,7 +149,7 @@ class Scenario:
     array: ArraySpec
     signal: FieldSpec
     noise: tuple[FieldSpec, ...]
-    prior: PriorSpec
+    prior: FlatPrior | GaussianPrior
     protocol: ProtocolSpec
     seed: int = 0
     trials: int = 100_000
@@ -173,7 +159,7 @@ class Scenario:
             "array": self.array.to_dict(),
             "signal": self.signal.to_dict(),
             "noise": [n.to_dict(noise=True) for n in self.noise],
-            "prior": self.prior.to_dict(),
+            "prior": _prior_dict(self.prior),
             "protocol": self.protocol.to_dict(),
             "seed": self.seed,
             "trials": self.trials,
@@ -267,7 +253,17 @@ def _parse_field(doc, path: str, noise: bool = False) -> FieldSpec:
                      source=source, sigma=float(sigma), phase=phase)
 
 
-def _parse_prior(doc, path: str) -> PriorSpec:
+def _prior_dict(prior: FlatPrior | GaussianPrior) -> dict:
+    """The document's prior object; a lower edge or mean of 0 is left out."""
+    flat = isinstance(prior, FlatPrior)
+    kind, offset = ("flat", "lower") if flat else ("gaussian", "mean")
+    d = {"kind": kind, "width": prior.width}
+    if getattr(prior, offset) != 0.0:
+        d[offset] = getattr(prior, offset)
+    return d
+
+
+def _parse_prior(doc, path: str) -> FlatPrior | GaussianPrior:
     if not isinstance(doc, dict):
         raise ScenarioError("expected an object", path)
     kind = _need(doc, "kind", path)
@@ -286,8 +282,9 @@ def _parse_prior(doc, path: str) -> PriorSpec:
     mean = doc.get("mean", 0.0)
     if not _is_num(lower) or not _is_num(mean):
         raise ScenarioError("lower/mean must be numbers", path)
-    return PriorSpec(kind=kind, width=float(width), lower=float(lower),
-                     mean=float(mean))
+    if kind == "flat":
+        return FlatPrior(float(width), float(lower))
+    return GaussianPrior(float(width), float(mean))
 
 
 def _parse_protocol(doc, path: str) -> ProtocolSpec:
@@ -343,9 +340,9 @@ def parse_scenario(doc) -> Scenario:
     if not _is_int(trials) or trials < MIN_TRIALS:
         raise ScenarioError(f"trials must be an integer >= {MIN_TRIALS}",
                             "trials")
-    if protocol.kind == "fixed_time" and prior.kind != "gaussian":
+    if protocol.kind == "fixed_time" and not isinstance(prior, GaussianPrior):
         raise ScenarioError("fixed_time requires a gaussian prior", "prior.kind")
-    if protocol.kind != "fixed_time" and prior.kind != "flat":
+    if protocol.kind != "fixed_time" and not isinstance(prior, FlatPrior):
         raise ScenarioError(f"{protocol.kind} requires a flat prior",
                             "prior.kind")
     if array.is_placement and signal.values is not None:
@@ -378,13 +375,6 @@ class BuiltScenario:
     spectrum: EffectiveSpectrum
     plan: PlacementPlan | None = None
     channel: DephasingChannel | None = None
-
-    @property
-    def prior(self):
-        p = self.scenario.prior
-        if p.kind == "flat":
-            return FlatPrior(p.width, p.lower)
-        return GaussianPrior(p.width, p.mean)
 
 
 def _check_profile_feasible(spec: FieldSpec, array: SensorArray, path: str):
@@ -462,17 +452,14 @@ def run_scenario(built: BuiltScenario, simulate: bool = False,
     spec = sc.protocol
     common = dict(probe=spec.probe, simulate=simulate, trials=trials, seed=seed)
     if spec.kind == "single_shot_flat":
-        return protocols.single_shot_flat(built.spectrum, sc.prior.width,
-                                          sc.prior.lower, **common)
+        return protocols.single_shot_flat(built.spectrum, sc.prior, **common)
     if spec.kind == "repeat":
-        return protocols.repeat_protocol(built.spectrum, sc.prior.width,
-                                         spec.total_time, sc.prior.lower,
-                                         **common)
+        return protocols.repeat_protocol(built.spectrum, sc.prior,
+                                         spec.total_time, **common)
     if spec.kind == "adaptive":
-        return protocols.adaptive_schedule(built.spectrum, sc.prior.width,
-                                           spec.total_time, sc.prior.lower,
-                                           **common)
+        return protocols.adaptive_schedule(built.spectrum, sc.prior,
+                                           spec.total_time, **common)
     if spec.kind == "fixed_time":
-        return protocols.fixed_time_single_shot(built.spectrum, built.prior,
+        return protocols.fixed_time_single_shot(built.spectrum, sc.prior,
                                                 spec.t, **common)
     raise ScenarioError(f"unhandled protocol kind {spec.kind!r}", "protocol.kind")

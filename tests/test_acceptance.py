@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from dfs_sense import (CanonicalSampler, DephasingChannel, EffectiveSpectrum,
-                       GaussianPrior, NoiseModel, ProbeState, SpatialField,
+                       FlatPrior, GaussianPrior, NoiseModel, ProbeState, SpatialField,
                        adaptive_schedule, averaged_state, base_time,
                        berry_wiseman_probe, dephase_coherence,
                        empirical_holevo, equalize_multidim, evolve,
@@ -134,7 +134,7 @@ def test_criterion_03_holevo_identity_and_asymptote():
             mc_ok = False
             details.append(f"L={L} MC z={(emp - analytic) / se:+.2f}")
         # the package's large-L form W0^2/(4 L^2), in phase units pi^2/L^2
-        asym = (single_shot_flat(_uniform(L, 4.0), W)
+        asym = (single_shot_flat(_uniform(L, 4.0), FlatPrior(W))
                 .prediction("asymptotic_mse") * (2.0 * math.pi / W) ** 2)
         devs[L] = abs(analytic - asym) / asym
     rel = devs[31]
@@ -162,7 +162,7 @@ def test_criterion_04_single_shot_mse_within_ten_percent():
     t0 = time.monotonic()
     L, W = 31, 1.0
     sp = _uniform(L, 4.0)
-    rep = single_shot_flat(sp, W, simulate=True, trials=100_000, seed=0)
+    rep = single_shot_flat(sp, FlatPrior(W), simulate=True, trials=100_000, seed=0)
     elapsed = time.monotonic() - t0
     pred = rep.prediction("asymptotic_mse")  # W0^2 / (4 L^2)
     sim = rep.simulation.mse
@@ -251,7 +251,7 @@ def test_criterion_07_adaptive_budget_and_width_guarantee():
         t1 = base_time(sp, W0)
         factor = float(np.exp(rng.uniform(np.log(2.0), np.log(1e4))))
         T = t1 * factor
-        rep = adaptive_schedule(sp, W0, T)
+        rep = adaptive_schedule(sp, FlatPrior(W0), T)
         times = [t for t, _ in rep.schedule]
         n = len(times)
         closed = t1 * ((2 * L) ** n - 1) / (2 * L - 1)

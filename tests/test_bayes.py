@@ -530,7 +530,7 @@ def test_guided_lookups_equal_np_interp_bit_for_bit(make, L):
                       np.mod(np.interp(np.random.default_rng(1).random((40, 7)),
                                        s._cdf, s.knots), 2 * np.pi))
     for mean, width, tg in ((0.0, 1.0, 0.3), (0.7, 0.05, 2.0)):
-        table = s.posterior_mean_table(mean, width, tg)
+        table = s.posterior_mean_table(GaussianPrior(width, mean), tg)
         lookup = bayes._GuidedInterp(s.knots, table)
         two_pi = 2 * np.pi
         y = rng.random(50_000) * two_pi
@@ -569,7 +569,7 @@ def test_posterior_mean_table_matches_quadrature(L, mixed):
          else a[:, 0] / np.linalg.norm(a[:, 0]))
     mu, w0, tg = 0.7, 0.8, 1.3
     s = CanonicalSampler(x)
-    table = s.posterior_mean_table(mu, w0, tg)
+    table = s.posterior_mean_table(GaussianPrior(w0, mu), tg)
     assert len(table) == len(s.knots) and table[-1] == table[0]
     omega = np.linspace(mu - 12 * w0, mu + 12 * w0, 40_001)
     prior = np.exp(-0.5 * ((omega - mu) / w0) ** 2)

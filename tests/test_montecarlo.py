@@ -157,8 +157,9 @@ def _simulations(trials, seed):
     return {
         "flat": lambda: run_estimation_trials(p, sp, prior, t=1.0,
                                               trials=trials, seed=seed),
-        "fixed_time": lambda: simulate_fixed_time(p, sp, 0.3, 0.8, t=1.0,
-                                                  trials=trials, seed=seed),
+        "fixed_time": lambda: simulate_fixed_time(p, sp, GaussianPrior(0.8, 0.3),
+                                                  t=1.0, trials=trials,
+                                                  seed=seed),
         "adaptive": lambda: simulate_adaptive(p, sp, FlatPrior(1.0),
                                               (0.25, 1 / 16),
                                               (2 * np.pi, 8 * np.pi),
@@ -269,8 +270,8 @@ def test_summary_memory_flat_in_trials():
     runs = (
         lambda: run_estimation_trials(p, sp, FlatPrior(2 * np.pi), t=1.0,
                                       trials=100_000, seed=0),
-        lambda: simulate_fixed_time(p, sp, 0.3, 0.8, t=1.0, trials=100_000,
-                                    seed=0),
+        lambda: simulate_fixed_time(p, sp, GaussianPrior(0.8, 0.3), t=1.0,
+                                    trials=100_000, seed=0),
         lambda: simulate_adaptive(p, sp, FlatPrior(1.0), (0.25, 1 / 16),
                                   (2 * np.pi, 8 * np.pi), trials=100_000,
                                   seed=0),
@@ -327,7 +328,7 @@ def test_trial_count_checked_before_chunks(which, trials, monkeypatch):
             run_estimation_trials(p, sp, FlatPrior(1.0), t=1.0,
                                   trials=trials, seed=0)
         elif which == "fixed_time":
-            simulate_fixed_time(p, sp, 0.0, 1.0, t=1.0, trials=trials, seed=0)
+            simulate_fixed_time(p, sp, GaussianPrior(1.0), t=1.0, trials=trials, seed=0)
         else:
             simulate_adaptive(p, sp, FlatPrior(1.0), (0.25,), (2 * np.pi,),
                               trials=trials, seed=0)
@@ -394,12 +395,30 @@ def test_repeat_shots_reduce_mse():
 
 # ---------------------------------------------------------------- fixed time
 
+def test_flat_trials_reject_a_period_shorter_than_the_prior():
+    # the residual period 2 pi/(t g) must hold the prior width: at t = 3 a
+    # 2 pi wide prior on a unit ladder aliases, and the circular residual
+    # would hide it
+    sp = _linear(4, 3.0)
+    p = berry_wiseman_probe(4)
+    prior = FlatPrior(2 * np.pi)
+    with pytest.raises(ValueError, match="prior width"):
+        run_estimation_trials(p, sp, prior, t=3.0, trials=64, seed=0)
+    with pytest.raises(ValueError, match="prior width"):
+        run_estimation_trials(p, sp, prior, t=1.0 + 1e-9, trials=64, seed=0)
+    # the base time t1 = 2 pi/(W0 g) fits exactly
+    W = 1.7
+    t1 = 2 * np.pi / (W * sp.gap)
+    out = run_estimation_trials(p, sp, FlatPrior(W), t=t1, trials=64, seed=0)
+    assert out.extra["window"] == pytest.approx(W)
+
+
 def test_fixed_time_matches_ghz_reduction():
     sp = EffectiveSpectrum.from_levels([-0.5, 0.5])
     p = ghz_probe(2)
     W = 1.0
     x = 0.1
-    out = simulate_fixed_time(p, sp, prior_mean=0.0, prior_width=W, t=x / W,
+    out = simulate_fixed_time(p, sp, GaussianPrior(W), t=x / W,
                               trials=100_000, seed=21)
     want = 1.0 - x * x * math.exp(-x * x)
     got = out.extra["reduction_hat"]
@@ -413,16 +432,18 @@ def test_fixed_time_validation_and_determinism():
     sp = _linear(4)
     p = berry_wiseman_probe(4)
     with pytest.raises(ValueError):
-        simulate_fixed_time(p, sp, 0.0, 1.0, t=0.0, trials=10, seed=0)
-    a = simulate_fixed_time(p, sp, 0.3, 0.8, t=1.0, trials=5_000, seed=13)
-    b = simulate_fixed_time(p, sp, 0.3, 0.8, t=1.0, trials=5_000, seed=13)
+        simulate_fixed_time(p, sp, GaussianPrior(1.0), t=0.0, trials=10, seed=0)
+    a = simulate_fixed_time(p, sp, GaussianPrior(0.8, 0.3), t=1.0,
+                            trials=5_000, seed=13)
+    b = simulate_fixed_time(p, sp, GaussianPrior(0.8, 0.3), t=1.0,
+                            trials=5_000, seed=13)
     assert a.mse == b.mse and a.extra == b.extra
 
 
 def test_fixed_time_nonzero_prior_mean_unbiased():
     sp = _linear(3, 2.0)
     p = ghz_probe(3)
-    out = simulate_fixed_time(p, sp, prior_mean=5.0, prior_width=0.05,
+    out = simulate_fixed_time(p, sp, GaussianPrior(0.05, mean=5.0),
                               t=1.0, trials=50_000, seed=17)
     # estimator must track the shifted prior, not sit at zero
     assert out.mse < 0.05 ** 2

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dfs_sense import (Degenerate, EffectiveSpectrum, GaussianPrior,
+from dfs_sense import (Degenerate, EffectiveSpectrum, FlatPrior, GaussianPrior,
                        InsufficientTime, NotLinear, ProbeState,
                        adaptive_schedule,
                        base_time, berry_wiseman_probe, classify_regime,
@@ -48,7 +48,7 @@ def test_ghz_reduction_shape():
 def test_single_shot_predictions():
     sp = _linear(31, 4.0)
     W = 1.0
-    rep = single_shot_flat(sp, W)
+    rep = single_shot_flat(sp, FlatPrior(W))
     assert rep.kind == "single_shot_flat"
     assert rep.prediction("predicted_mse") == pytest.approx(
         W ** 2 / (4 * 30 ** 2), rel=1e-15)
@@ -65,7 +65,7 @@ def test_single_shot_simulation_consistent():
     from dfs_sense import berry_wiseman_probe, canonical_phase_density
     sp = _linear(8, 4.0)
     W = 1.0
-    rep = single_shot_flat(sp, W, simulate=True, trials=30_000, seed=5)
+    rep = single_shot_flat(sp, FlatPrior(W), simulate=True, trials=30_000, seed=5)
     sim = rep.simulation
     assert sim is not None and sim.trials == 30_000
     # exact oracle: wrapped second moment of the sine-probe phase density,
@@ -80,9 +80,9 @@ def test_single_shot_simulation_consistent():
 
 def test_single_shot_requires_spread():
     with pytest.raises(Degenerate):
-        single_shot_flat(EffectiveSpectrum.from_levels([1.0]), 1.0)
+        single_shot_flat(EffectiveSpectrum.from_levels([1.0]), FlatPrior(1.0))
     with pytest.raises(NotLinear):
-        single_shot_flat(EffectiveSpectrum.from_levels([0.0, 1.0, 5.0]), 1.0)
+        single_shot_flat(EffectiveSpectrum.from_levels([0.0, 1.0, 5.0]), FlatPrior(1.0))
 
 
 # ------------------------------------------------------------------- repeat
@@ -90,7 +90,7 @@ def test_single_shot_requires_spread():
 def test_repeat_reference_values():
     sp = _linear(5, 4.0)
     W, T = 1.0, 8 * np.pi
-    rep = repeat_protocol(sp, W, T)
+    rep = repeat_protocol(sp, FlatPrior(W), T)
     # t1 = 2 pi * 4 / 4 = 2 pi, nu = 4
     assert rep.resources["nu"] == 4
     assert rep.prediction("mse_per_window_over_nu") == pytest.approx(
@@ -105,8 +105,8 @@ def test_repeat_single_window_matches_single_shot():
     sp = _linear(6, 3.0)
     W = 0.7
     t1 = base_time(sp, W)
-    rep = repeat_protocol(sp, W, t1)
-    one = single_shot_flat(sp, W)
+    rep = repeat_protocol(sp, FlatPrior(W), t1)
+    one = single_shot_flat(sp, FlatPrior(W))
     assert rep.resources["nu"] == 1
     assert rep.prediction("mse_per_window_over_nu") == pytest.approx(
         one.prediction("asymptotic_mse"), rel=1e-15)
@@ -116,8 +116,8 @@ def test_repeat_nu_scaling_exact():
     sp = _linear(6, 3.0)
     W = 0.7
     t1 = base_time(sp, W)
-    r1 = repeat_protocol(sp, W, t1)
-    r10 = repeat_protocol(sp, W, 10 * t1)
+    r1 = repeat_protocol(sp, FlatPrior(W), t1)
+    r10 = repeat_protocol(sp, FlatPrior(W), 10 * t1)
     assert r10.resources["nu"] == 10
     assert r10.prediction("mse_per_window_over_nu") == pytest.approx(
         r1.prediction("mse_per_window_over_nu") / 10, rel=1e-15)
@@ -127,9 +127,9 @@ def test_repeat_insufficient_time():
     sp = _linear(5, 4.0)
     t1 = base_time(sp, 1.0)
     with pytest.raises(InsufficientTime):
-        repeat_protocol(sp, 1.0, 0.5 * t1)
+        repeat_protocol(sp, FlatPrior(1.0), 0.5 * t1)
     # exactly one window is allowed
-    assert repeat_protocol(sp, 1.0, t1).resources["nu"] == 1
+    assert repeat_protocol(sp, FlatPrior(1.0), t1).resources["nu"] == 1
 
 
 # ----------------------------------------------------------------- adaptive
@@ -139,7 +139,7 @@ def test_adaptive_reference_schedule():
     sp = _linear(2, 1.0)
     W0 = 1.0
     T = 64 * np.pi / W0  # T Delta W0 = 64 pi -> x = 64
-    rep = adaptive_schedule(sp, W0, T)
+    rep = adaptive_schedule(sp, FlatPrior(W0), T)
     assert rep.resources["rounds"] == 3
     assert rep.prediction("final_width") == pytest.approx(1 / 64, rel=1e-15)
     times = [t for t, _ in rep.schedule]
@@ -159,7 +159,7 @@ def test_adaptive_budget_and_closure(L, W0, delta, factor):
     t1 = base_time(sp, W0)
     T = t1 * factor
     try:
-        rep = adaptive_schedule(sp, W0, T)
+        rep = adaptive_schedule(sp, FlatPrior(W0), T)
     except InsufficientTime:
         # not even one round fits the budget; the schedule rounds a float
         # boundary toward fewer rounds (W_n T Delta >= pi is kept exact), so
@@ -183,7 +183,7 @@ def test_adaptive_budget_and_closure(L, W0, delta, factor):
 
 def test_adaptive_width_bound_prediction():
     sp = _linear(4, 2.0)
-    rep = adaptive_schedule(sp, 1.0, 4000.0)
+    rep = adaptive_schedule(sp, FlatPrior(1.0), 4000.0)
     assert rep.prediction("width_bound") == pytest.approx(
         np.pi / (4000.0 * 2.0), rel=1e-15)
     fw = rep.prediction("final_width")
@@ -194,7 +194,7 @@ def test_adaptive_width_bound_prediction():
 def test_adaptive_insufficient_time():
     sp = _linear(2, 1.0)
     with pytest.raises(InsufficientTime):
-        adaptive_schedule(sp, 1.0, 1.0)  # x = W T Delta / pi < 4
+        adaptive_schedule(sp, FlatPrior(1.0), 1.0)  # x = W T Delta / pi < 4
 
 
 # ------------------------------------------------------------------ regimes
@@ -304,7 +304,7 @@ def test_fixed_time_simulation_hook():
 
 def test_report_serialization():
     sp = _linear(5, 4.0)
-    rep = single_shot_flat(sp, 1.0)
+    rep = single_shot_flat(sp, FlatPrior(1.0))
     d = rep.to_dict()
     assert d["kind"] == "single_shot_flat"
     assert {p["label"] for p in d["predictions"]} >= {

@@ -464,6 +464,16 @@ def test_cli_usage_error_exits_2():
         assert exc3.value.code == 2
 
 
+@pytest.mark.parametrize("grid", ["0:1:3", "-1:1:3"])
+def test_cli_sweep_t_nonpositive_grid_exits_2(tmp_path, capsys, grid):
+    doc = _base_doc(protocol={"kind": "fixed_time", "t": 0.25},
+                    prior={"kind": "gaussian", "width": 0.5})
+    rc = cli.main(["sweep", "--axis", "t", f"--grid={grid}",
+                   "--scenario", _write(tmp_path, doc)])
+    assert rc == 2
+    assert "scenario error: t grid must be positive" in capsys.readouterr().err
+
+
 def test_cli_sweep_L_monotone(tmp_path, capsys):
     rc = cli.main(["sweep", "--axis", "L", "--grid", "4:32:8",
                    "--scenario", _write(tmp_path, _base_doc()),
@@ -518,6 +528,32 @@ def test_cli_sweep_Delta(tmp_path, capsys):
     assert all(b < a for a, b in zip(t1, t1[1:]))  # wider range, shorter t1
     mse = {r["predicted_mse"] for r in rows}
     assert len(mse) == 1  # precision depends on L only
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("axis, grid", [("L", "2:6:3"), ("Delta", "1:3:3")])
+def test_cli_fixed_time_ladder_sweeps_name_their_columns(tmp_path, capsys,
+                                                         axis, grid, fmt):
+    # fixed-time ladder rows hold x, regime and variance_reduction, so the
+    # comments carry the axis t formulas, not the flat-prior ones
+    doc = _base_doc(protocol={"kind": "fixed_time", "t": 0.25},
+                    prior={"kind": "gaussian", "width": 0.5})
+    path = _write(tmp_path, doc)
+    assert cli.main(["sweep", "--axis", "t", "--grid", "0.1:1:2",
+                     "--scenario", path, "--format", "json"]) == 0
+    formulas = json.loads(capsys.readouterr().out)["comments"]
+    assert cli.main(["sweep", "--axis", axis, "--grid", grid,
+                     "--scenario", path, "--format", fmt]) == 0
+    out = capsys.readouterr().out
+    if fmt == "json":
+        payload = json.loads(out)
+        comments = payload["comments"]
+        assert {"x", "regime", "variance_reduction"} <= set(payload["rows"][0])
+    else:
+        comments = [line[2:] for line in out.splitlines() if line.startswith("# ")]
+    assert [c for c in comments if c.startswith("formula:")] == formulas
+    assert not any(w in c for c in comments
+                   for w in ("predicted_mse", "holevo_mse", "t1"))
 
 
 def test_cli_dfs_check(tmp_path, capsys):
