@@ -15,7 +15,8 @@ THREADS_ENV_VAR = "DFS_SENSE_THREADS"
 
 # linear algebra
 RANK_RTOL = 1e-10            # singular values below RANK_RTOL * s_max count as zero
-ORTHOGONALITY_RTOL = 1e-12   # |f_k . v| <= rtol * |f_k| * |v| counts as orthogonal
+ORTHOGONALITY_RTOL = 1e-12   # |f_k . v| <= rtol * |f_k| * |v| counts as orthogonal:
+                             # the one protection rule (DFS and damping), fields._orthogonal
 DROP_RTOL = 1e-12            # |f_perp| below DROP_RTOL * |f0| means no sensable component
 
 # spectra
@@ -40,9 +41,8 @@ SHAPE_SYMMETRY_RTOL = 1e-12  # t and -u pair up when |t + u| <= rtol * max(1, |t
 PROFILE_INVERSE_RTOL = 1e-8  # an inverted profile misses by at most rtol * max(1, |target|)
 SOURCE_CLEARANCE_ATOL = 1e-12  # a power-law source closer than this to a site coincides with it
 
-# protocols and dephasing
+# protocols
 TIME_SLACK = 1e-12           # relative slack of T against whole interrogations t1
-DEPHASE_SNAP_RTOL = 1e-12    # |f . ds| <= rtol * scale counts as a protected pair
 
 # regime classification (asymptotic "much less/greater" conditions need
 # concrete cutoffs; these thresholds are configuration, not physics)

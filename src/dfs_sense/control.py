@@ -14,11 +14,10 @@ from typing import Sequence
 import numpy as np
 
 from .config import (ENUMERATION_GUARD, LADDER_DIM_SLACK, LEVEL_MERGE_RTOL,
-                     LINEAR_GAP_RTOL, ORTHOGONALITY_RTOL, SHAPE_RANGE_RTOL,
-                     SHAPE_SYMMETRY_RTOL)
+                     LINEAR_GAP_RTOL, SHAPE_RANGE_RTOL, SHAPE_SYMMETRY_RTOL)
 from .errors import Degenerate, TooLarge, Unreachable
 from .fields import (Number, NoiseModel, SensorArray, SpatialField, _as_vector,
-                     _exactable, _numbers)
+                     _exactable, _numbers, _orthogonal)
 from .records import record
 
 
@@ -278,7 +277,7 @@ def _dfs_rows(array: SensorArray, noise: NoiseModel, anchor: SpinConfig) -> np.n
     keep = np.ones(nds.shape, dtype=bool)
     for f in noise.noise_fields:
         proj = sum(np.ix_(*(fj * d for fj, d in zip(f.vector, steps, strict=True))))
-        keep &= np.abs(proj) <= ORTHOGONALITY_RTOL * np.linalg.norm(f.vector) * nds
+        keep &= _orthogonal(proj, np.linalg.norm(f.vector), nds)
     # the smallest signed integer type that holds -n_max holds every index
     return np.stack(np.nonzero(keep), axis=1,
                     dtype=np.min_scalar_type(-max(array.quanta_per_site)))

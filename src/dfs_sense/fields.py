@@ -188,6 +188,12 @@ def orthogonal_complement(signal: SpatialField, noise: NoiseModel) -> SpatialFie
     return SpatialField(tuple(float(x) for x in v), label=signal.label)
 
 
+def _orthogonal(proj, f_norm, d_norm):
+    """|f . d| <= ORTHOGONALITY_RTOL |f| |d| elementwise: the one test of a
+    configuration difference d against a noise field f, free of their scale."""
+    return np.abs(proj) <= ORTHOGONALITY_RTOL * f_norm * d_norm
+
+
 def dfs_condition(s, r, noise: NoiseModel) -> bool:
     """True iff the configuration difference is orthogonal to every noise profile.
 
@@ -196,13 +202,8 @@ def dfs_condition(s, r, noise: NoiseModel) -> bool:
     """
     ds = _as_vector(s) - _as_vector(r)
     nds = np.linalg.norm(ds)
-    if nds == 0.0:
-        return True
-    for f in noise.noise_fields:
-        fv = f.vector
-        if abs(fv @ ds) > ORTHOGONALITY_RTOL * np.linalg.norm(fv) * nds:
-            return False
-    return True
+    return all(_orthogonal(fv @ ds, np.linalg.norm(fv), nds)
+               for fv in (f.vector for f in noise.noise_fields))
 
 
 def effective_signal_gap(s, r, f_perp: SpatialField) -> float:

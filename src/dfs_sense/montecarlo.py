@@ -24,9 +24,10 @@ import numpy as np
 
 from .bayes import (CanonicalSampler, FlatPrior, GaussianPrior, _GuidedInterp,
                     _moments, empirical_holevo, wrap_pi)
-from .config import DEPHASE_SNAP_RTOL, TIME_SLACK, worker_count
+from .config import TIME_SLACK, worker_count
 from .control import EffectiveSpectrum
 from .errors import InsufficientTime
+from .fields import _orthogonal
 from .records import factory, record
 
 _CHUNK = 4096
@@ -93,14 +94,23 @@ def _run_chunked(trials: int, seed: int, chunk_fn):
 # dephasing
 # ---------------------------------------------------------------------------
 
+# phase law per kind: (E[cos(chi a)] at x = sigma a, n draws of chi at sigma);
+# "gaussian" has std sigma, "uniform" is uniform on [-pi sigma, pi sigma]
+PHASE_LAWS = {
+    "gaussian": (lambda x: math.exp(-0.5 * x ** 2),
+                 lambda rng, sig, n: rng.normal(0.0, sig, n)),
+    "uniform": (lambda x: float(np.sinc(x)),
+                lambda rng, sig, n: rng.uniform(-math.pi * sig, math.pi * sig, n)),
+}
+
+
 @record
 class DephasingChannel:
     """Random collective phases chi_k coupled through spatial fields f_k.
 
     Each shot applies exp(-i sum_k chi_k f_k . s) to a configuration s;
     coherences between configurations a, b are damped by
-    E[exp(i sum_k chi_k f_k . (a - b))]. kind per channel: "gaussian"
-    (std sigma_k) or "uniform" (chi_k uniform on [-pi sigma_k, pi sigma_k]).
+    E[exp(i sum_k chi_k f_k . (a - b))]. kind per channel: a PHASE_LAWS key.
     """
 
     fields: tuple[tuple[float, ...], ...]
@@ -111,7 +121,7 @@ class DephasingChannel:
         if not (len(self.fields) == len(self.sigmas) == len(self.kinds)):
             raise ValueError("fields, sigmas, kinds must have equal length")
         for k in self.kinds:
-            if k not in ("gaussian", "uniform"):
+            if k not in PHASE_LAWS:
                 raise ValueError(f"unknown dephasing kind {k!r}")
         for s in self.sigmas:
             if not (s >= 0):
@@ -134,27 +144,20 @@ class DephasingChannel:
 def dephase_coherence(channel: DephasingChannel, config_a, config_b) -> float:
     """Analytic damping factor for the (a, b) coherence.
 
-    Product over channels of the characteristic function at
-    a_k = f_k . (config_a - config_b). Exactly 1.0 when every projection
-    vanishes (decoherence-free pair), with a snap window so that exact
-    pairs evaluated in floats still report 1.0.
+    Product of the characteristic functions at sigma_k a_k, a_k = f_k .
+    (config_a - config_b), over the channels that fail the DFS orthogonality
+    test (fields._orthogonal, as in dfs_condition): a decoherence-free pair
+    reports exactly 1.0, whatever the scale of the fields.
     """
     ds = np.asarray(config_a, dtype=float) - np.asarray(config_b, dtype=float)
-    scale = max(1.0, float(np.max(np.abs(ds), initial=0.0)))
+    nds = np.linalg.norm(ds)
     out = 1.0
-    protected = True
     for f, sig, kind in zip(channel.fields, channel.sigmas, channel.kinds):
         fv = np.asarray(f, dtype=float)
         a = float(fv @ ds)
-        fscale = max(1.0, float(np.max(np.abs(fv), initial=0.0)))
-        if abs(a) <= DEPHASE_SNAP_RTOL * scale * fscale * len(fv):
-            continue
-        protected = False
-        if kind == "gaussian":
-            out *= math.exp(-0.5 * (sig * a) ** 2)
-        else:
-            out *= float(np.sinc(sig * a))
-    return 1.0 if protected else out
+        if not _orthogonal(a, np.linalg.norm(fv), nds):
+            out *= PHASE_LAWS[kind][0](sig * a)
+    return out
 
 
 @record
@@ -174,7 +177,7 @@ def mc_dephase_check(channel: DephasingChannel, pairs, trials: int = 100_000,
     One draw of chi_k per trial serves every pair, as one collective noise
     realization hits every configuration: column p accumulates
     cos(sum_k chi_k f_k . (a_p - b_p)) (the imaginary part vanishes in
-    expectation for the symmetric distributions used).
+    expectation, as every PHASE_LAWS draw is symmetric about 0).
     """
     fvs = [np.asarray(f, dtype=float) for f in channel.fields]
     ds = [np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
@@ -185,11 +188,7 @@ def mc_dephase_check(channel: DephasingChannel, pairs, trials: int = 100_000,
     def chunk_fn(rng, size, _start):
         total = np.zeros((len(ds), size))
         for a, sig, kind in zip(proj, channel.sigmas, channel.kinds):
-            if kind == "gaussian":
-                chi = rng.normal(0.0, sig, size)
-            else:
-                chi = rng.uniform(-math.pi * sig, math.pi * sig, size)
-            total += chi * a[:, None]
+            total += PHASE_LAWS[kind][1](rng, sig, size) * a[:, None]
         return np.cos(total)
 
     n, mean, com = _run_chunked(trials, seed, chunk_fn)

@@ -108,6 +108,14 @@ def _require_linear(spectrum: EffectiveSpectrum):
         raise NotLinear("protocol assumes uniformly spaced levels")
 
 
+def _flat_head(spectrum: EffectiveSpectrum, prior: FlatPrior) -> tuple[int, float, float]:
+    """L, the prior width W0 and t1 of a flat-prior planner, after its checks."""
+    if not isinstance(prior, FlatPrior):
+        raise TypeError("flat-prior protocols require a FlatPrior")
+    _require_linear(spectrum)
+    return spectrum.L, prior.width, base_time(spectrum, prior.width)
+
+
 def single_shot_flat(spectrum: EffectiveSpectrum, prior: FlatPrior, probe=None,
                      simulate: bool = False, trials: int = 100_000,
                      seed: int = 0) -> ProtocolReport:
@@ -117,10 +125,7 @@ def single_shot_flat(spectrum: EffectiveSpectrum, prior: FlatPrior, probe=None,
     finite-L window variance, its large-L form, and the exact Holevo
     variance of the sine probe mapped back to frequency units.
     """
-    _require_linear(spectrum)
-    L = spectrum.L
-    width = prior.width
-    t1 = base_time(spectrum, width)
+    L, width, t1 = _flat_head(spectrum, prior)
     hol_phase = math.tan(math.pi / (L + 1)) ** 2
     preds = (
         Prediction("predicted_mse", width ** 2 / (4.0 * (L - 1) ** 2),
@@ -150,10 +155,7 @@ def repeat_protocol(spectrum: EffectiveSpectrum, prior: FlatPrior,
     the flooring of nu and a constant near pi; the ratio is reported as
     resources["discrepancy"].
     """
-    _require_linear(spectrum)
-    L = spectrum.L
-    width = prior.width
-    t1 = base_time(spectrum, width)
+    L, width, t1 = _flat_head(spectrum, prior)
     if total_time < t1 * (1.0 - TIME_SLACK):
         raise InsufficientTime(
             f"total time {total_time:g} is below one interrogation ({t1:g})")
@@ -186,10 +188,7 @@ def adaptive_schedule(spectrum: EffectiveSpectrum, prior: FlatPrior,
     which guarantees the total time fits inside T and the final width stays
     above the pi/(T Delta) floor.
     """
-    _require_linear(spectrum)
-    L = spectrum.L
-    width = prior.width
-    t1 = base_time(spectrum, width)
+    L, width, t1 = _flat_head(spectrum, prior)
     x = spectrum.Delta * width * total_time / math.pi
     # strict comparison keeps W_n T Delta >= pi exact; a float boundary can
     # only round toward the conservative side

@@ -28,7 +28,7 @@ from .control import (EffectiveSpectrum, _dfs_rows, _merge_levels, _spin_configs
 from .control import enumerate_dfs_configs  # noqa: F401  perfbench/child.py wraps this name
 from .errors import ScenarioError
 from .fields import NoiseModel, SensorArray, SpatialField, orthogonal_complement, sample_field
-from .montecarlo import MIN_TRIALS, DephasingChannel
+from .montecarlo import MIN_TRIALS, PHASE_LAWS, DephasingChannel
 from .placement import FAMILIES, PlacementPlan
 from . import protocols
 from .records import record
@@ -37,7 +37,7 @@ _PROFILES = ("constant", "gradient", "power_law")
 _PRIOR_KINDS = ("flat", "gaussian")
 _PROTOCOLS = ("single_shot_flat", "repeat", "adaptive", "fixed_time")
 _PROBES = tuple(protocols.PROBES)
-_PHASES = ("gaussian", "uniform")
+_PHASES = tuple(PHASE_LAWS)
 
 
 def _is_num(x) -> bool:
@@ -381,9 +381,9 @@ def _check_profile_feasible(spec: FieldSpec, array: SensorArray, path: str):
     if spec.profile == "power_law":
         for r in array.positions:
             if abs(float(r) - spec.source) < SOURCE_CLEARANCE_ATOL:
-                raise ValueError(
+                raise ScenarioError(
                     f"power_law source {spec.source} coincides with a site "
-                    f"position ({path})")
+                    "position", f"{path}.source")
 
 
 def _field_for(spec: FieldSpec, array: SensorArray, label: str,
@@ -393,7 +393,7 @@ def _field_for(spec: FieldSpec, array: SensorArray, label: str,
             raise ScenarioError(
                 f"{len(spec.values)} values for {array.J} sites", f"{path}.values")
         return SpatialField(spec.values, label=label)
-    _check_profile_feasible(spec, array, label)
+    _check_profile_feasible(spec, array, path)
     return sample_field(spec.callable(), array, label=label)
 
 

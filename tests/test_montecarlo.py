@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from dfs_sense import (DephasingChannel, EffectiveSpectrum, FlatPrior,
-                       GaussianPrior, InsufficientTime, berry_wiseman_probe,
-                       dephase_coherence, empirical_holevo,
+                       GaussianPrior, InsufficientTime, NoiseModel, SpatialField,
+                       berry_wiseman_probe, dephase_coherence, dfs_condition,
+                       empirical_holevo,
                        ghz_probe, mc_dephase_check, montecarlo,
                        run_estimation_trials, simulate_adaptive,
                        simulate_fixed_time)
@@ -89,6 +90,61 @@ def test_dephase_coherence_bounds_and_snap():
                  if a != b and dephase_coherence(mixed, a, b) == 1.0]
     assert ((0.5, 0.5, -0.5), (0.0, 0.0, 0.5)) in protected
     assert ((0.5, 0.5, 0.5), (0.5, -0.5, 0.5)) not in protected
+
+
+@pytest.mark.parametrize("factor", [2.0 ** -44, 2.0 ** 44],
+                         ids=["2^-44", "2^44"])
+def test_dephase_coherence_gauge_invariant(factor):
+    # the channels of test_dephase_coherence_bounds_and_snap with each field
+    # times a power of two and its sigma over it: chi_k f_k is unchanged, so
+    # every damping keeps its bits
+    channels = [DephasingChannel.gaussian([(1.0, -1.0, 0.5)], sigmas=(0.7,)),
+                DephasingChannel(((1 / 3, 1 / 3, 1 / 3), (1.0, -1.0, 0.0)),
+                                 (1e6, 0.4), ("gaussian", "uniform"))]
+    configs = [(0.5, 0.5, 0.5), (0.5, -0.5, 0.5), (-0.5, 0.5, -0.5),
+               (0.5, -0.5, -0.5), (1.0, 0.0, -1.0), (0.5, 0.5, -0.5),
+               (0.0, 0.0, 0.5)]
+    for ch in channels:
+        gauged = DephasingChannel(
+            tuple(tuple(x * factor for x in f) for f in ch.fields),
+            tuple(s / factor for s in ch.sigmas), ch.kinds)
+        for a in configs:
+            for b in configs:
+                assert (dephase_coherence(gauged, a, b)
+                        == dephase_coherence(ch, a, b))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_dephase_coherence_follows_the_dfs_condition(seed):
+    # one protection rule: a pair dfs_condition keeps is undamped, and a pair
+    # it rejects damps below 1 once some channel turns it by >= 1e-3 rad,
+    # also for fields whose entries lie far below 1
+    rng = np.random.default_rng(seed)
+    J = 6
+    configs = [tuple(0.5 - ((c >> j) & 1) for j in range(J)) for c in range(2 ** J)]
+    configs += [tuple(rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0], J)) for _ in range(16)]
+    shapes = [[np.ones(J), np.arange(J, dtype=float)], [np.ones(J)],
+              [rng.normal(size=J)]]
+    kept = rejected = 0
+    for shape in shapes:
+        scale = 10.0 ** rng.uniform(-18.0, 3.0)
+        fields = [scale * rng.uniform(0.5, 2.0) * f for f in shape]
+        noise = NoiseModel(tuple(SpatialField(tuple(f), f"noise:{k}")
+                                 for k, f in enumerate(fields)))
+        sigmas = tuple(10.0 ** rng.uniform(-1.0, 1.0) / scale for _ in fields)
+        kinds = tuple(rng.choice(list(montecarlo.PHASE_LAWS), len(fields)))
+        ch = DephasingChannel(tuple(tuple(f) for f in fields), sigmas, kinds)
+        for a in configs:
+            for b in configs:
+                damp = dephase_coherence(ch, a, b)
+                if dfs_condition(a, b, noise):
+                    kept += 1
+                    assert damp == 1.0
+                elif any(abs(s * (f @ np.subtract(a, b))) >= 1e-3
+                         for f, s in zip(fields, sigmas)):
+                    rejected += 1
+                    assert damp < 1.0
+    assert kept > 4 * len(configs) and rejected > kept
 
 
 def test_mc_dephase_check_agrees():

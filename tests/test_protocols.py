@@ -197,6 +197,17 @@ def test_adaptive_insufficient_time():
         adaptive_schedule(sp, FlatPrior(1.0), 1.0)  # x = W T Delta / pi < 4
 
 
+@pytest.mark.parametrize("plan, budget", [
+    (single_shot_flat, ()), (repeat_protocol, (400.0,)),
+    (adaptive_schedule, (400.0,))])
+def test_flat_planners_reject_a_gaussian_prior(plan, budget):
+    # a Gaussian standard deviation is no flat width: each planner refuses
+    # the record before it predicts or simulates anything
+    with pytest.raises(TypeError, match="FlatPrior"):
+        plan(_linear(4, 1.0), GaussianPrior(1.0, mean=5.0), *budget,
+             simulate=True, trials=64)
+
+
 # ------------------------------------------------------------------ regimes
 
 def test_classify_regime_map():

@@ -211,8 +211,9 @@ def test_build_levels_match_per_configuration_products(J, quanta, K):
 def test_build_power_law_source_collision():
     doc = _base_doc(signal={"profile": "power_law", "alpha": 2.0,
                             "source": 2.0})
-    with pytest.raises(ValueError):
+    with pytest.raises(ScenarioError) as exc:
         build_scenario(parse_scenario(doc))
+    assert exc.value.path == "signal.source"
 
 
 def test_run_scenario_dispatch(tmp_path):
@@ -320,6 +321,18 @@ def test_cli_exit_2_values_length(tmp_path, capsys, key, path):
     assert rc == 2
     err = capsys.readouterr().err
     assert "scenario error" in err and f"{path}: 3 values for 4 sites" in err
+
+
+@pytest.mark.parametrize("key, path", [
+    ("signal", "signal.source"), ("noise", "noise[0].source")])
+def test_cli_exit_2_power_law_source_on_a_site(tmp_path, capsys, key, path):
+    # the document places a power-law source on the site at 1.0
+    field = {"profile": "power_law", "alpha": 2.0, "source": 1.0}
+    doc = _base_doc(**{key: field if key == "signal" else [field]})
+    rc = cli.main(["spectrum", "--scenario", _write(tmp_path, doc)])
+    assert rc == 2
+    assert (f"scenario error: {path}: power_law source 1.0 coincides with a "
+            "site position") in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("path, value, key_path", [
@@ -570,6 +583,28 @@ def test_cli_dfs_check(tmp_path, capsys):
     for r in contrast:
         assert r["analytic"] < 1.0
         assert abs(r["z"]) < 5.0
+
+
+@pytest.mark.parametrize("factor", [2.0 ** -44, 2.0 ** 44],
+                         ids=["2^-44", "2^44"])
+def test_cli_dfs_check_gauge_invariant(tmp_path, capsys, factor):
+    # the phases chi_k f_k do not change when each noise amplitude scales by
+    # a power of two and its sigma by the inverse, so neither does the output
+    noise = [{"profile": "constant", "amplitude": 1.0, "sigma": 0.5,
+              "phase": "uniform"},
+             {"profile": "gradient", "amplitude": 1.0, "sigma": 0.1}]
+    gauged = [dict(n, amplitude=n["amplitude"] * factor,
+                   sigma=n["sigma"] / factor) for n in noise]
+    out = []
+    for fields in (noise, gauged):
+        doc = _base_doc(array={"positions": list(range(8))},
+                        signal={"profile": "power_law", "alpha": 2,
+                                "source": -3},
+                        noise=fields, trials=2000)
+        assert cli.main(["dfs-check", "--scenario", _write(tmp_path, doc)]) == 0
+        out.append(capsys.readouterr().out)
+    assert out[0] == out[1]
+    assert "\ncontrast,false," in out[0]
 
 
 def test_cli_dfs_check_one_pass_at_any_thread_count(tmp_path, capsys,
