@@ -24,7 +24,7 @@ from .config import (HERMITIAN_RTOL, NORM_ATOL, PHASE_GRID_BITS,
                      POSTERIOR_FLOOR_RTOL, PSD_FLOOR, SAMPLER_NORM_ATOL,
                      SLD_FLOOR)
 from .control import EffectiveSpectrum
-from .errors import Degenerate, InvalidState, NotLinear, NumericFailure
+from .errors import Degenerate, InvalidState, NumericFailure
 from .records import record
 
 
@@ -169,13 +169,12 @@ def _damping_kernel(probe: ProbeState, prior: GaussianPrior,
                     spectrum: EffectiveSpectrum, t: float) -> np.ndarray:
     """k_d = exp(-(t W0 g d)^2 / 2), d < L: the prior's damping of a coherence d levels apart.
 
-    Raises unless the prior is Gaussian, the ladder uniform and the probe
-    as long as the spectrum; every averaged core starts here.
+    Raises unless the prior is Gaussian, the probe as long as the spectrum
+    and the ladder uniform (spectrum.gap raises NotLinear); every averaged
+    core starts here.
     """
     if not isinstance(prior, GaussianPrior):
         raise TypeError("averaged_state requires a Gaussian prior")
-    if not spectrum.is_linear():
-        raise NotLinear("averaging formula requires uniform level spacing")
     if spectrum.L != probe.L:
         raise ValueError("probe and spectrum level counts differ")
     n = np.arange(spectrum.L)

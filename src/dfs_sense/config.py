@@ -14,7 +14,7 @@ import os
 THREADS_ENV_VAR = "DFS_SENSE_THREADS"
 
 # linear algebra
-RANK_RTOL = 1e-10            # singular values below RANK_RTOL * s_max count as zero
+RANK_RTOL = 1e-10            # Gram-Schmidt residual below rtol * |f_k| means f_k is dependent
 ORTHOGONALITY_RTOL = 1e-12   # |f_k . v| <= rtol * |f_k| * |v| counts as orthogonal:
                              # the one protection rule (DFS and damping), fields._orthogonal
 DROP_RTOL = 1e-12            # |f_perp| below DROP_RTOL * |f0| means no sensable component

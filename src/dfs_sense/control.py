@@ -15,7 +15,7 @@ import numpy as np
 
 from .config import (ENUMERATION_GUARD, LADDER_DIM_SLACK, LEVEL_MERGE_RTOL,
                      LINEAR_GAP_RTOL, SHAPE_RANGE_RTOL, SHAPE_SYMMETRY_RTOL)
-from .errors import Degenerate, TooLarge, Unreachable
+from .errors import Degenerate, NotLinear, TooLarge, Unreachable
 from .fields import (Number, NoiseModel, SensorArray, SpatialField, _as_vector,
                      _exactable, _numbers, _orthogonal)
 from .records import record
@@ -150,8 +150,10 @@ class EffectiveSpectrum:
 
     @property
     def gap(self) -> float:
-        """Uniform gap Delta/(L-1) (0.0 for a single level); callers must
-        have checked is_linear."""
+        """Uniform gap Delta/(L-1) (0.0 for a single level); NotLinear unless
+        is_linear, as every formula that reads it assumes uniform spacing."""
+        if not self.is_linear():
+            raise NotLinear("protocol assumes uniformly spaced levels")
         if self.L < 2:
             return 0.0
         return float(self.Delta) / (self.L - 1)

@@ -115,7 +115,13 @@ class SpatialField:
 
 @record
 class NoiseModel:
-    """A set of K linearly independent noise profiles."""
+    """A set of K linearly independent noise profiles on a shared site count.
+
+    Independence is tested once, by orthonormal_span: a profile is dependent
+    when less than RANK_RTOL of its own norm lies outside the span of the
+    profiles before it. The test is free of each profile's scale, and it
+    rejects K > J profiles on J sites.
+    """
 
     noise_fields: tuple[SpatialField, ...] = ()
 
@@ -125,19 +131,11 @@ class NoiseModel:
         J = self.noise_fields[0].J
         if any(f.J != J for f in self.noise_fields):
             raise ValueError("noise profiles must share the site count")
-        m = self.matrix
-        s = np.linalg.svd(m, compute_uv=False)
-        if s[-1] <= RANK_RTOL * s[0]:
-            raise ValueError("noise profiles are linearly dependent")
+        self.orthonormal_span()
 
     @property
     def K(self) -> int:
         return len(self.noise_fields)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """K x J matrix of noise amplitudes."""
-        return np.vstack([f.vector for f in self.noise_fields])
 
     def orthonormal_span(self) -> np.ndarray:
         """Orthonormal basis of the noise span (K x J), by modified

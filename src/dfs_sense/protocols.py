@@ -1,8 +1,10 @@
 """Estimation protocols over an effective spectrum.
 
 Each planner takes the spectrum, the prior record (FlatPrior, or
-GaussianPrior for fixed_time) and its time budget, and hands that prior
-to the Monte Carlo. It returns a ProtocolReport: closed-form predictions
+GaussianPrior for fixed_time) and its time budget, as its KINDS row
+states, and hands that prior to the Monte Carlo. Every planner assumes a
+uniformly spaced ladder: reading spectrum.gap raises NotLinear otherwise.
+It returns a ProtocolReport: closed-form predictions
 (each tagged with the formula it came from), the resource accounting, and
 optionally an attached Monte-Carlo simulation of the same protocol. Two
 textbook forms of the repeated-protocol error differ by a floor/constant
@@ -20,7 +22,7 @@ from .bayes import (FlatPrior, GaussianPrior, ProbeState, berry_wiseman_probe,
 from .config import (NORM_ATOL, REGIME_LARGE, REGIME_SMALL, SINE_BAND_HI, SINE_BAND_LO,
                      TIME_SLACK)
 from .control import EffectiveSpectrum
-from .errors import Degenerate, InsufficientTime, NotLinear
+from .errors import Degenerate, InsufficientTime
 from .montecarlo import (EstimationSummary, run_estimation_trials,
                          simulate_adaptive, simulate_fixed_time)
 from .records import factory, record
@@ -103,16 +105,10 @@ def _resolve_probe(probe, spectrum: EffectiveSpectrum) -> ProbeState:
     return PROBES[name](spectrum)
 
 
-def _require_linear(spectrum: EffectiveSpectrum):
-    if not spectrum.is_linear():
-        raise NotLinear("protocol assumes uniformly spaced levels")
-
-
 def _flat_head(spectrum: EffectiveSpectrum, prior: FlatPrior) -> tuple[int, float, float]:
     """L, the prior width W0 and t1 of a flat-prior planner, after its checks."""
     if not isinstance(prior, FlatPrior):
         raise TypeError("flat-prior protocols require a FlatPrior")
-    _require_linear(spectrum)
     return spectrum.L, prior.width, base_time(spectrum, prior.width)
 
 
@@ -250,7 +246,6 @@ def fixed_time_single_shot(spectrum: EffectiveSpectrum, prior: GaussianPrior,
     """
     if t <= 0:
         raise ValueError("t must be positive")
-    _require_linear(spectrum)
     L = spectrum.L
     x = t * prior.width * spectrum.Delta
     regime = classify_regime(x, L)
@@ -290,3 +285,13 @@ def fixed_time_single_shot(spectrum: EffectiveSpectrum, prior: GaussianPrior,
     return ProtocolReport(kind="fixed_time", predictions=tuple(preds),
                           resources=resources, regime=regime,
                           recommendation=recommendation, simulation=sim)
+
+
+# kind: (planner name, prior record, time budget key or None); the planner
+# is looked up by name on this module when a scenario runs
+KINDS = {
+    "single_shot_flat": ("single_shot_flat", FlatPrior, None),
+    "repeat": ("repeat_protocol", FlatPrior, "total_time"),
+    "adaptive": ("adaptive_schedule", FlatPrior, "total_time"),
+    "fixed_time": ("fixed_time_single_shot", GaussianPrior, "t"),
+}

@@ -4,14 +4,19 @@ Top-level keys: array, signal, noise, prior, protocol, seed, trials.
 Validation failures raise ScenarioError carrying the key path of the
 offending entry. A parsed Scenario round-trips: parse(s.to_dict()) == s.
 
-array is either explicit ({"positions": [...], "quanta_per_site": [...]})
-or a named placement family ({"placement": "linear", "N": 8}). Field specs
+array parses to the record the library takes: an explicit
+{"positions": [...], "quanta_per_site": [...]} to a SensorArray (two
+levels per site unless quanta_per_site says otherwise), a named placement
+family {"placement": "linear", "N": 8} (N even) to its PlacementPlan.
+Scenario.array holds it. Field specs
 give explicit per-site values or a named profile (constant, gradient,
 power_law(alpha, source)), each with an optional amplitude. Noise entries
 additionally accept a dephasing strength sigma and phase kind
 (gaussian | uniform) used by the coherence checks. prior parses to the
 record the planners take, FlatPrior(width, lower) or GaussianPrior(width,
-mean), and Scenario.prior holds it.
+mean), and Scenario.prior holds it. protocol names a kind of
+protocols.KINDS, whose row gives the prior record it takes and its time
+budget key (total_time, t, or none).
 """
 
 from __future__ import annotations
@@ -34,8 +39,9 @@ from . import protocols
 from .records import record
 
 _PROFILES = ("constant", "gradient", "power_law")
-_PRIOR_KINDS = ("flat", "gaussian")
-_PROTOCOLS = ("single_shot_flat", "repeat", "adaptive", "fixed_time")
+_PRIOR_NAMES = {FlatPrior: "flat", GaussianPrior: "gaussian"}
+_PRIOR_KINDS = tuple(_PRIOR_NAMES.values())
+_BUDGETS = ("total_time", "t")
 _PROBES = tuple(protocols.PROBES)
 _PHASES = tuple(PHASE_LAWS)
 
@@ -65,26 +71,6 @@ def _reject_unknown(doc: dict, allowed, path: str):
     extra = set(doc) - set(allowed)
     if extra:
         raise ScenarioError(f"unknown key(s) {sorted(extra)!r}", path)
-
-
-@record
-class ArraySpec:
-    positions: tuple[float, ...] | None = None
-    quanta_per_site: tuple[int, ...] | None = None
-    placement: str | None = None
-    N: int | None = None
-
-    @property
-    def is_placement(self) -> bool:
-        return self.placement is not None
-
-    def to_dict(self) -> dict:
-        if self.is_placement:
-            return {"placement": self.placement, "N": self.N}
-        d = {"positions": list(self.positions)}
-        if self.quanta_per_site is not None:
-            d["quanta_per_site"] = list(self.quanta_per_site)
-        return d
 
 
 @record
@@ -146,7 +132,7 @@ class ProtocolSpec:
 
 @record
 class Scenario:
-    array: ArraySpec
+    array: SensorArray | PlacementPlan
     signal: FieldSpec
     noise: tuple[FieldSpec, ...]
     prior: FlatPrior | GaussianPrior
@@ -156,7 +142,7 @@ class Scenario:
 
     def to_dict(self) -> dict:
         return {
-            "array": self.array.to_dict(),
+            "array": _array_dict(self.array),
             "signal": self.signal.to_dict(),
             "noise": [n.to_dict(noise=True) for n in self.noise],
             "prior": _prior_dict(self.prior),
@@ -169,7 +155,7 @@ class Scenario:
         return json.dumps(self.to_dict(), indent=indent)
 
 
-def _parse_array(doc, path: str) -> ArraySpec:
+def _parse_array(doc, path: str) -> SensorArray | PlacementPlan:
     if not isinstance(doc, dict):
         raise ScenarioError("expected an object", path)
     if "placement" in doc:
@@ -180,9 +166,9 @@ def _parse_array(doc, path: str) -> ArraySpec:
                 f"unknown placement {fam!r}; choose from {sorted(FAMILIES)}",
                 f"{path}.placement")
         n = _need(doc, "N", path)
-        if not _is_int(n) or n < 2:
-            raise ScenarioError("N must be an integer >= 2", f"{path}.N")
-        return ArraySpec(placement=fam, N=n)
+        if not _is_int(n) or n < 2 or n % 2:
+            raise ScenarioError("N must be an even integer >= 2", f"{path}.N")
+        return FAMILIES[fam](n)
     _reject_unknown(doc, ("positions", "quanta_per_site"), path)
     pos = _need(doc, "positions", path)
     if (not isinstance(pos, list) or not pos
@@ -192,17 +178,23 @@ def _parse_array(doc, path: str) -> ArraySpec:
     if len(set(float(p) for p in pos)) != len(pos):
         raise ScenarioError("positions must be pairwise distinct",
                             f"{path}.positions")
-    quanta = None
-    if "quanta_per_site" in doc:
-        q = doc["quanta_per_site"]
-        if (not isinstance(q, list) or len(q) != len(pos)
-                or not all(_is_int(v) and v >= 2 for v in q)):
-            raise ScenarioError(
-                "quanta_per_site must be a list of integers >= 2 matching "
-                "positions", f"{path}.quanta_per_site")
-        quanta = tuple(q)
-    return ArraySpec(positions=tuple(float(p) for p in pos),
-                     quanta_per_site=quanta)
+    quanta = doc.get("quanta_per_site", [2] * len(pos))
+    if (not isinstance(quanta, list) or len(quanta) != len(pos)
+            or not all(_is_int(v) and v >= 2 for v in quanta)):
+        raise ScenarioError(
+            "quanta_per_site must be a list of integers >= 2 matching "
+            "positions", f"{path}.quanta_per_site")
+    return SensorArray(tuple(float(p) for p in pos), tuple(quanta))
+
+
+def _array_dict(array: SensorArray | PlacementPlan) -> dict:
+    """The document's array object; all-qubit quanta are left out."""
+    if isinstance(array, PlacementPlan):
+        return {"placement": array.family, "N": array.N}
+    d = {"positions": list(array.positions)}
+    if any(n != 2 for n in array.quanta_per_site):
+        d["quanta_per_site"] = list(array.quanta_per_site)
+    return d
 
 
 def _parse_field(doc, path: str, noise: bool = False) -> FieldSpec:
@@ -255,8 +247,8 @@ def _parse_field(doc, path: str, noise: bool = False) -> FieldSpec:
 
 def _prior_dict(prior: FlatPrior | GaussianPrior) -> dict:
     """The document's prior object; a lower edge or mean of 0 is left out."""
-    flat = isinstance(prior, FlatPrior)
-    kind, offset = ("flat", "lower") if flat else ("gaussian", "mean")
+    kind = _PRIOR_NAMES[type(prior)]
+    offset = "lower" if kind == "flat" else "mean"
     d = {"kind": kind, "width": prior.width}
     if getattr(prior, offset) != 0.0:
         d[offset] = getattr(prior, offset)
@@ -291,31 +283,25 @@ def _parse_protocol(doc, path: str) -> ProtocolSpec:
     if not isinstance(doc, dict):
         raise ScenarioError("expected an object", path)
     kind = _need(doc, "kind", path)
-    if kind not in _PROTOCOLS:
-        raise ScenarioError(f"kind must be one of {_PROTOCOLS}",
+    if kind not in protocols.KINDS:
+        raise ScenarioError(f"kind must be one of {tuple(protocols.KINDS)}",
                             f"{path}.kind")
-    _reject_unknown(doc, ("kind", "total_time", "t", "probe"), path)
-    total_time = t = None
-    if kind in ("repeat", "adaptive"):
-        total_time = _need(doc, "total_time", path)
-        if not _is_num(total_time) or total_time <= 0:
-            raise ScenarioError("total_time must be a positive number",
-                                f"{path}.total_time")
-        total_time = float(total_time)
-    elif "total_time" in doc:
-        raise ScenarioError(f"total_time does not apply to {kind}", path)
-    if kind == "fixed_time":
-        t = _need(doc, "t", path)
-        if not _is_num(t) or t <= 0:
-            raise ScenarioError("t must be a positive number", f"{path}.t")
-        t = float(t)
-    elif "t" in doc:
-        raise ScenarioError(f"t does not apply to {kind}", path)
+    _reject_unknown(doc, ("kind", *_BUDGETS, "probe"), path)
+    budget, budget_key = {}, protocols.KINDS[kind][2]
+    for key in _BUDGETS:
+        if key == budget_key:
+            value = _need(doc, key, path)
+            if not _is_num(value) or value <= 0:
+                raise ScenarioError(f"{key} must be a positive number",
+                                    f"{path}.{key}")
+            budget[key] = float(value)
+        elif key in doc:
+            raise ScenarioError(f"{key} does not apply to {kind}", path)
     probe = doc.get("probe")
     if probe is not None and probe not in _PROBES:
         raise ScenarioError(f"probe must be one of {_PROBES}",
                             f"{path}.probe")
-    return ProtocolSpec(kind=kind, total_time=total_time, t=t, probe=probe)
+    return ProtocolSpec(kind=kind, probe=probe, **budget)
 
 
 def parse_scenario(doc) -> Scenario:
@@ -340,12 +326,11 @@ def parse_scenario(doc) -> Scenario:
     if not _is_int(trials) or trials < MIN_TRIALS:
         raise ScenarioError(f"trials must be an integer >= {MIN_TRIALS}",
                             "trials")
-    if protocol.kind == "fixed_time" and not isinstance(prior, GaussianPrior):
-        raise ScenarioError("fixed_time requires a gaussian prior", "prior.kind")
-    if protocol.kind != "fixed_time" and not isinstance(prior, FlatPrior):
-        raise ScenarioError(f"{protocol.kind} requires a flat prior",
-                            "prior.kind")
-    if array.is_placement and signal.values is not None:
+    wanted = protocols.KINDS[protocol.kind][1]
+    if not isinstance(prior, wanted):
+        raise ScenarioError(f"{protocol.kind} requires a "
+                            f"{_PRIOR_NAMES[wanted]} prior", "prior.kind")
+    if isinstance(array, PlacementPlan) and signal.values is not None:
         raise ScenarioError("placement arrays take a signal profile, not "
                             "explicit values", "signal")
     return Scenario(array=array, signal=signal, noise=noise, prior=prior,
@@ -405,13 +390,8 @@ def build_scenario(scenario: Scenario) -> BuiltScenario:
     enumerates protected configurations explicitly, which is guarded by
     the enumeration size cap.
     """
-    plan = None
-    if scenario.array.is_placement:
-        plan = FAMILIES[scenario.array.placement](scenario.array.N)
-        array = plan.as_sensor_array()
-    else:
-        quanta = scenario.array.quanta_per_site or (2,) * len(scenario.array.positions)
-        array = SensorArray(scenario.array.positions, quanta)
+    plan = scenario.array if isinstance(scenario.array, PlacementPlan) else None
+    array = scenario.array if plan is None else plan.as_sensor_array()
 
     signal = _field_for(scenario.signal, array, "signal", "signal")
     noise_fields = tuple(_field_for(spec, array, f"noise:{k}", f"noise[{k}]")
@@ -445,21 +425,13 @@ def build_scenario(scenario: Scenario) -> BuiltScenario:
 def run_scenario(built: BuiltScenario, simulate: bool = False,
                  trials: int | None = None, seed: int | None = None
                  ) -> protocols.ProtocolReport:
-    """Dispatch the scenario's protocol over its effective spectrum."""
+    """Run the planner of the scenario's protocol kind over its spectrum."""
     sc = built.scenario
-    trials = sc.trials if trials is None else trials
-    seed = sc.seed if seed is None else seed
     spec = sc.protocol
-    common = dict(probe=spec.probe, simulate=simulate, trials=trials, seed=seed)
-    if spec.kind == "single_shot_flat":
-        return protocols.single_shot_flat(built.spectrum, sc.prior, **common)
-    if spec.kind == "repeat":
-        return protocols.repeat_protocol(built.spectrum, sc.prior,
-                                         spec.total_time, **common)
-    if spec.kind == "adaptive":
-        return protocols.adaptive_schedule(built.spectrum, sc.prior,
-                                           spec.total_time, **common)
-    if spec.kind == "fixed_time":
-        return protocols.fixed_time_single_shot(built.spectrum, sc.prior,
-                                                spec.t, **common)
-    raise ScenarioError(f"unhandled protocol kind {spec.kind!r}", "protocol.kind")
+    # looked up on the module at call time, so a wrapped planner is the one run
+    name, _, key = protocols.KINDS[spec.kind]
+    budget = () if key is None else (getattr(spec, key),)
+    return getattr(protocols, name)(
+        built.spectrum, sc.prior, *budget, probe=spec.probe, simulate=simulate,
+        trials=sc.trials if trials is None else trials,
+        seed=sc.seed if seed is None else seed)

@@ -49,6 +49,25 @@ def test_noise_rank_rejection():
         NoiseModel((f1, f2))
 
 
+def test_noise_rank_is_free_of_each_profile_scale():
+    # a constant profile 2^-44 next to a unit gradient spans what the unit
+    # constant does; only the profiles' directions decide independence
+    J = 16
+    gradient = SpatialField(tuple(float(j) for j in range(J)), label="noise:1")
+    for scale in (1.0, 2.0 ** -44, 2.0 ** 44):
+        const = SpatialField((scale,) * J, label="noise:0")
+        for fields in ((const, gradient), (gradient, const)):
+            q = NoiseModel(fields).orthonormal_span()
+            assert np.allclose(q @ q.T, np.eye(2), atol=1e-12)
+
+
+def test_noise_rejects_more_profiles_than_sites():
+    fields = tuple(SpatialField(v, label=f"noise:{k}") for k, v in
+                   enumerate(((1.0, 0.0), (0.0, 1.0), (1.0, 1.0))))
+    with pytest.raises(ValueError, match="linearly dependent"):
+        NoiseModel(fields)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(2, 8), st.integers(1, 4), st.integers(0, 10_000))
 def test_orthonormal_span_properties(J, K, seed):

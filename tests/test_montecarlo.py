@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from dfs_sense import (DephasingChannel, EffectiveSpectrum, FlatPrior,
-                       GaussianPrior, InsufficientTime, NoiseModel, SpatialField,
+                       GaussianPrior, InsufficientTime, NoiseModel, NotLinear,
+                       SpatialField,
                        berry_wiseman_probe, dephase_coherence, dfs_condition,
                        empirical_holevo,
                        ghz_probe, mc_dephase_check, montecarlo,
@@ -529,6 +530,19 @@ def test_adaptive_runs_and_reports():
     assert out.extra["flat_window_variance"] == pytest.approx(widths[-1] ** 2 / 12)
     again = simulate_adaptive(p, sp, prior, widths, times, trials=20_000, seed=3)
     assert out.mse == again.mse
+
+
+@pytest.mark.parametrize("estimate", [
+    lambda p, sp: run_estimation_trials(p, sp, FlatPrior(1.0), 1.0, 100, 0),
+    lambda p, sp: simulate_fixed_time(p, sp, GaussianPrior(1.0), 1.0, 100, 0),
+    lambda p, sp: simulate_adaptive(p, sp, FlatPrior(1.0), (0.5,), (1.0,),
+                                    100, 0)],
+    ids=["flat", "fixed_time", "adaptive"])
+def test_estimators_reject_a_non_uniform_ladder(estimate):
+    # gaps 1 and 2: no uniform gap exists, so no estimator may assume Delta/(L-1)
+    sp = EffectiveSpectrum((0.0, 1.0, 3.0))
+    with pytest.raises(NotLinear, match="uniformly spaced"):
+        estimate(berry_wiseman_probe(sp), sp)
 
 
 def test_summary_to_dict_keys():

@@ -8,10 +8,12 @@ import math
 import numpy as np
 import pytest
 
-from dfs_sense import (EffectiveSpectrum, ScenarioError, build_scenario,
-                       enumerate_dfs_configs, ghz_reduction, load_scenario,
-                       parse_scenario, run_scenario, sign_matched_anchor)
-from dfs_sense import cli
+from dfs_sense import (FAMILIES, EffectiveSpectrum, FlatPrior, GaussianPrior,
+                       PlacementPlan, ScenarioError, SensorArray,
+                       build_scenario, enumerate_dfs_configs, ghz_reduction,
+                       load_scenario, parse_scenario, run_scenario,
+                       sign_matched_anchor)
+from dfs_sense import cli, protocols
 
 
 def _base_doc(**over):
@@ -46,7 +48,7 @@ def test_round_trip_placement():
     doc = _base_doc(array={"placement": "exponential", "N": 4})
     s = parse_scenario(doc)
     assert parse_scenario(s.to_dict()) == s
-    assert s.array.is_placement
+    assert isinstance(s.array, PlacementPlan)
 
 
 def test_round_trip_all_protocols():
@@ -61,6 +63,83 @@ def test_round_trip_all_protocols():
     for doc in docs:
         s = parse_scenario(doc)
         assert parse_scenario(s.to_dict()) == s
+
+
+def test_round_trip_keeps_qutrit_quanta_and_drops_qubit_quanta():
+    qutrits = {"positions": [1.0, 2.0, 3.0], "quanta_per_site": [3, 2, 3]}
+    s = parse_scenario(_base_doc(array=qutrits))
+    assert s.array == SensorArray((1.0, 2.0, 3.0), (3, 2, 3))
+    assert s.to_dict()["array"] == qutrits
+    assert parse_scenario(s.to_dict()) == s
+    s = parse_scenario(_base_doc(array={"positions": [1.0, 2.0],
+                                        "quanta_per_site": [2, 2]}))
+    assert s.array == SensorArray((1.0, 2.0), (2, 2))
+    assert s.to_dict()["array"] == {"positions": [1.0, 2.0]}
+    assert parse_scenario(s.to_dict()) == s
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_placement_array_is_the_family_plan(family):
+    doc = _base_doc(array={"placement": family, "N": 6})
+    s = parse_scenario(doc)
+    assert s.array == FAMILIES[family](6)
+    assert s.to_dict()["array"] == doc["array"]
+    built = build_scenario(s)
+    assert built.plan is s.array and built.array == s.array.as_sensor_array()
+
+
+_BUDGET_VALUES = {"total_time": 1000.0, "t": 0.05}
+_PRIOR_DOCS = {FlatPrior: {"kind": "flat", "width": 1.0},
+               GaussianPrior: {"kind": "gaussian", "width": 0.4}}
+
+
+def _kind_doc(kind):
+    """A valid document of the protocol kind: its KINDS budget and prior."""
+    _, prior, key = protocols.KINDS[kind]
+    protocol = {"kind": kind}
+    if key is not None:
+        protocol[key] = _BUDGET_VALUES[key]
+    return _base_doc(protocol=protocol, prior=dict(_PRIOR_DOCS[prior]))
+
+
+@pytest.mark.parametrize("kind", [k for k, row in protocols.KINDS.items()
+                                  if row[2] is not None])
+def test_protocol_kind_requires_its_budget(kind):
+    key = protocols.KINDS[kind][2]
+    doc = _kind_doc(kind)
+    del doc["protocol"][key]
+    with pytest.raises(ScenarioError) as exc:
+        parse_scenario(doc)
+    assert str(exc.value) == f"protocol: missing required key {key!r}"
+    doc["protocol"][key] = -1.0
+    with pytest.raises(ScenarioError) as exc:
+        parse_scenario(doc)
+    assert str(exc.value) == f"protocol.{key}: {key} must be a positive number"
+
+
+@pytest.mark.parametrize("kind, key", [
+    (k, key) for k, row in protocols.KINDS.items()
+    for key in _BUDGET_VALUES if key != row[2]])
+def test_protocol_kind_rejects_a_foreign_budget(kind, key):
+    doc = _kind_doc(kind)
+    parse_scenario(doc)
+    doc["protocol"][key] = _BUDGET_VALUES[key]
+    with pytest.raises(ScenarioError) as exc:
+        parse_scenario(doc)
+    assert str(exc.value) == f"protocol: {key} does not apply to {kind}"
+
+
+@pytest.mark.parametrize("kind", sorted(protocols.KINDS))
+def test_protocol_kind_rejects_the_other_prior(kind):
+    wanted = protocols.KINDS[kind][1]
+    (other,) = set(_PRIOR_DOCS) - {wanted}
+    doc = _kind_doc(kind)
+    doc["prior"] = dict(_PRIOR_DOCS[other])
+    with pytest.raises(ScenarioError) as exc:
+        parse_scenario(doc)
+    name = _PRIOR_DOCS[wanted]["kind"]
+    assert exc.value.path == "prior.kind"
+    assert str(exc.value) == f"prior.kind: {kind} requires a {name} prior"
 
 
 @pytest.mark.parametrize("mutate,path_frag", [
@@ -353,6 +432,22 @@ def test_cli_exit_2_non_finite_number(tmp_path, capsys, path, value, key_path):
     rc = cli.main(["protocol", "--scenario", _write(tmp_path, doc)])
     assert rc == 2
     assert f"scenario error: {key_path}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_cli_exit_2_odd_placement_N(tmp_path, capsys, family):
+    doc = _base_doc(array={"placement": family, "N": 5})
+    rc = cli.main(["spectrum", "--scenario", _write(tmp_path, doc)])
+    assert rc == 2
+    assert (capsys.readouterr().err.strip()
+            == "scenario error: array.N: N must be an even integer >= 2")
+
+
+def test_cli_exit_3_oversize_exponential_placement(tmp_path, capsys):
+    doc = _base_doc(array={"placement": "exponential", "N": 50})
+    rc = cli.main(["spectrum", "--scenario", _write(tmp_path, doc)])
+    assert rc == 3
+    assert "infeasible: pair patterns beyond N = 48" in capsys.readouterr().err
 
 
 def test_cli_exit_2_missing_scenario(capsys):
