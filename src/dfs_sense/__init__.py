@@ -19,7 +19,7 @@ from .config import worker_count
 from .control import (EffectiveSpectrum, FlipSchedule, LadderPlan,
                       ShapedSpectrum, SpinConfig, enumerate_dfs_configs,
                       equalize_multidim, flip_schedule_for, ladder_probe,
-                      shape_spectrum, sign_matched_anchor)
+                      protected_spectrum, shape_spectrum, sign_matched_anchor)
 from .errors import (Degenerate, DfsSenseError, InsufficientTime,
                      InvalidState, NoSignalComponent, NotLinear,
                      NumericFailure, ScenarioError, TooLarge, Unreachable)

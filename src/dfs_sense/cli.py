@@ -21,7 +21,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .control import EffectiveSpectrum, enumerate_dfs_configs
+from .control import EffectiveSpectrum, protected_spectrum
+from .control import enumerate_dfs_configs  # noqa: F401  perfbench/child.py wraps this name
 from .errors import (Degenerate, InsufficientTime, InvalidState,
                      NoSignalComponent, NotLinear, NumericFailure,
                      ScenarioError, TooLarge, Unreachable)
@@ -251,10 +252,19 @@ def _ladder_rows(built, points, flat_labels: tuple[str, ...]) -> list[dict]:
     return rows
 
 
+def _ladder_base(built, axis: str) -> EffectiveSpectrum:
+    """The scenario's spectrum, whose range or level count an L or Delta
+    sweep holds: Degenerate below two levels, which give no ladder."""
+    if built.spectrum.L < 2:
+        raise Degenerate(f"axis {axis} needs a spectrum of at least two levels")
+    return built.spectrum
+
+
 def _sweep_L(built, grid) -> dict:
-    base = built.spectrum
+    Ls = _int_grid(grid, 2)
+    base = _ladder_base(built, "L")
     per_level = float(base.Delta) / base.L  # hold Delta/L fixed
-    spectra = (_uniform_spectrum(L, per_level * L) for L in _int_grid(grid, 2))
+    spectra = (_uniform_spectrum(L, per_level * L) for L in Ls)
     rows = _ladder_rows(built, (({"L": sp.L, "Delta": float(sp.Delta)}, sp)
                                 for sp in spectra),
                         ("predicted_mse", "asymptotic_mse", "holevo_mse"))
@@ -270,10 +280,10 @@ def _sweep_L(built, grid) -> dict:
 
 
 def _sweep_Delta(built, grid) -> dict:
-    L = built.spectrum.L
     deltas = [float(d) for d in np.linspace(*grid)]
     if min(deltas) <= 0:
         raise ScenarioError("Delta grid must be positive")
+    L = _ladder_base(built, "Delta").L
     rows = _ladder_rows(built, (({"Delta": d}, _uniform_spectrum(L, d))
                                 for d in deltas),
                         ("predicted_mse", "holevo_mse"))
@@ -316,10 +326,12 @@ def cmd_dfs_check(args) -> dict:
     built = build_scenario(sc)
     if built.channel is None:
         raise Degenerate("scenario declares no noise channels to check")
+    # one configuration per protected level; a placement's closed-form
+    # ladder carries none, so its protected levels are enumerated here
     configs = built.spectrum.configs
     if configs is None:
-        configs = tuple(enumerate_dfs_configs(built.array, built.noise,
-                                              f_perp=built.f_perp))
+        configs = protected_spectrum(built.array, built.noise, built.signal,
+                                     built.f_perp).configs
     if len(configs) < 2:
         raise Degenerate("fewer than two protected configurations")
     trials = args.trials if args.trials is not None else sc.trials

@@ -317,6 +317,18 @@ def enumerate_dfs_configs(array: SensorArray, noise: NoiseModel,
     return _spin_configs(array, rows)
 
 
+def protected_spectrum(array: SensorArray, noise: NoiseModel, signal: SpatialField,
+                       f_perp: SpatialField) -> EffectiveSpectrum:
+    """The distinct signal levels of the configurations coherent with the
+    sign-matched anchor along f_perp, one configuration per level: rows come
+    lexicographically, so each level reports its lexicographically first
+    configuration, and only those L are built."""
+    rows = _dfs_rows(array, noise, sign_matched_anchor(array, f_perp))
+    values = np.vecdot(_spins(array, rows), signal.vector).tolist()
+    levels, first = _merge_levels(values)
+    return EffectiveSpectrum(levels, tuple(_spin_configs(array, rows[first])))
+
+
 def equalize_multidim(f_perp: SpatialField | Sequence[Number]
                       ) -> tuple[Number, EffectiveSpectrum]:
     """Equalized 4-level ladder on two protected coordinates.

@@ -24,12 +24,9 @@ from __future__ import annotations
 import json
 import math
 
-import numpy as np
-
 from .bayes import FlatPrior, GaussianPrior
 from .config import SOURCE_CLEARANCE_ATOL
-from .control import (EffectiveSpectrum, _dfs_rows, _merge_levels, _spin_configs,
-                      _spins, sign_matched_anchor)
+from .control import EffectiveSpectrum, protected_spectrum
 from .control import enumerate_dfs_configs  # noqa: F401  perfbench/child.py wraps this name
 from .errors import ScenarioError
 from .fields import NoiseModel, SensorArray, SpatialField, orthogonal_complement, sample_field
@@ -387,8 +384,8 @@ def build_scenario(scenario: Scenario) -> BuiltScenario:
 
     Placement arrays with a gradient signal use the family's closed-form
     spectrum (scaled by the gradient amplitude); every other combination
-    enumerates protected configurations explicitly, which is guarded by
-    the enumeration size cap.
+    takes control.protected_spectrum, which enumerates protected
+    configurations explicitly, guarded by the enumeration size cap.
     """
     plan = scenario.array if isinstance(scenario.array, PlacementPlan) else None
     array = scenario.array if plan is None else plan.as_sensor_array()
@@ -404,12 +401,7 @@ def build_scenario(scenario: Scenario) -> BuiltScenario:
         levels = tuple(a * float(v) for v in plan.predicted_levels())
         spectrum = EffectiveSpectrum.from_levels(levels)
     else:
-        # rows come lexicographically, so each level reports its
-        # lexicographically first configuration; only those L are built
-        rows = _dfs_rows(array, noise, sign_matched_anchor(array, f_perp))
-        values = np.vecdot(_spins(array, rows), signal.vector).tolist()
-        levels, first = _merge_levels(values)
-        spectrum = EffectiveSpectrum(levels, tuple(_spin_configs(array, rows[first])))
+        spectrum = protected_spectrum(array, noise, signal, f_perp)
 
     channel = None
     if noise.K > 0:

@@ -4,6 +4,7 @@ import bisect
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,8 +12,8 @@ import pytest
 from dfs_sense import (FAMILIES, EffectiveSpectrum, FlatPrior, GaussianPrior,
                        PlacementPlan, ScenarioError, SensorArray,
                        build_scenario, enumerate_dfs_configs, ghz_reduction,
-                       load_scenario, parse_scenario, run_scenario,
-                       sign_matched_anchor)
+                       load_scenario, parse_scenario, protected_spectrum,
+                       run_scenario, sign_matched_anchor)
 from dfs_sense import cli, protocols
 
 
@@ -285,6 +286,18 @@ def test_build_levels_match_per_configuration_products(J, quanta, K):
         [float(sv @ np.asarray(c, dtype=float)) for c in configs], configs)
     got = np.asarray(built.spectrum.levels)
     assert got.view(np.int64).tolist() == np.asarray(want.levels).view(np.int64).tolist()
+
+
+@pytest.mark.parametrize("J, quanta, K", [
+    (9, 2, 0), (9, 2, 1), (9, 2, 2), (17, 2, 1), (17, 2, 2),
+    (6, 3, 0), (6, 3, 1), (6, 3, 2)])
+def test_protected_spectrum_is_the_built_spectrum(J, quanta, K):
+    noise = [{"profile": "constant"}, _SECOND_NOISE][:K]
+    built = build_scenario(parse_scenario(_line_doc(J, quanta, noise)))
+    sp = protected_spectrum(built.array, built.noise, built.signal, built.f_perp)
+    assert sp == built.spectrum  # levels and configurations
+    assert (np.asarray(sp.levels).view(np.int64).tolist()
+            == np.asarray(built.spectrum.levels).view(np.int64).tolist())
 
 
 def test_build_power_law_source_collision():
@@ -751,6 +764,61 @@ def test_cli_dfs_check_requires_two_protected_configurations(tmp_path, capsys,
     assert rc == 3
     assert (capsys.readouterr().err.strip()
             == "infeasible: fewer than two protected configurations")
+
+
+@pytest.mark.parametrize("family, N, L", [
+    ("two_point", 4, 3), ("exponential", 8, 27), ("linear", 8, 17)])
+def test_cli_dfs_check_pairs_one_configuration_per_protected_level(
+        tmp_path, capsys, family, N, L):
+    # a placement's closed-form ladder carries no configurations; dfs-check
+    # pairs the L protected levels' first configurations, as on explicit arrays
+    doc = _base_doc(array={"placement": family, "N": N})
+    assert cli.main(["dfs-check", "--scenario", _write(tmp_path, doc),
+                     "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    want = [f"{i}-{i + 1}" for i in range(min(L - 1, 20))]
+    if L > 2:
+        want.append(f"0-{L - 1}")
+    assert [r["pair"] for r in rows] == want + ["contrast"]
+    for r in rows[:-1]:
+        assert (r["analytic"], r["empirical"], r["stderr"], r["z"]) == (1, 1, 0, 0)
+
+
+def test_cli_dfs_check_placement_memory(tmp_path, capsys):
+    # one configuration per protected level, never every protected one
+    path = _write(tmp_path, _base_doc(array={"placement": "linear", "N": 18}))
+    tracemalloc.start()
+    try:
+        rc = cli.main(["dfs-check", "--scenario", path])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    assert peak < 16e6
+
+
+def _one_level_doc(**over):
+    """Constant and gradient noise on three sites leave one protected level."""
+    return _base_doc(array={"positions": [0, 1, 3]},
+                     signal={"profile": "power_law", "alpha": 2, "source": -3},
+                     noise=[{"profile": "constant"}, {"profile": "gradient"}],
+                     **over)
+
+
+@pytest.mark.parametrize("prior, protocol", [
+    ({"kind": "flat", "width": 1.0}, {"kind": "single_shot_flat"}),
+    ({"kind": "gaussian", "width": 0.5}, {"kind": "fixed_time", "t": 0.25})],
+    ids=["flat", "gaussian"])
+@pytest.mark.parametrize("axis, grid", [("L", "2:4:3"), ("Delta", "1:2:3")])
+def test_cli_ladder_sweeps_need_two_levels(tmp_path, capsys, monkeypatch,
+                                           axis, grid, prior, protocol):
+    _typed_infeasible_only(monkeypatch)
+    doc = _one_level_doc(prior=prior, protocol=protocol)
+    rc = cli.main(["sweep", "--axis", axis, "--grid", grid,
+                   "--scenario", _write(tmp_path, doc)])
+    assert rc == 3
+    assert (capsys.readouterr().err.strip() == f"infeasible: axis {axis} "
+            "needs a spectrum of at least two levels")
 
 
 def test_console_script_entry_point(capsys):
