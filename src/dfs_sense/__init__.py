@@ -16,10 +16,10 @@ from .bayes import (AveragedState, CanonicalSampler, FlatPrior, GaussianPrior,
                     qfi_mixed, qfi_pure, uniform_probe, variance_reduction,
                     wrap_pi)
 from .config import worker_count
-from .control import (EffectiveSpectrum, FlipSchedule, LadderPlan,
-                      ShapedSpectrum, SpinConfig, enumerate_dfs_configs,
-                      equalize_multidim, flip_schedule_for, ladder_probe,
-                      protected_spectrum, shape_spectrum, sign_matched_anchor)
+from .control import (EffectiveSpectrum, FlipSchedule, SpinConfig,
+                      enumerate_dfs_configs, equalize_multidim,
+                      flip_schedule_for, protected_spectrum,
+                      sign_matched_anchor)
 from .errors import (Degenerate, DfsSenseError, InsufficientTime,
                      InvalidState, NoSignalComponent, NotLinear,
                      NumericFailure, ScenarioError, TooLarge, Unreachable)

@@ -34,10 +34,7 @@ PHASE_GRID_BITS = 14         # floor: the grid has at least 2**PHASE_GRID_BITS p
 SAMPLER_NORM_ATOL = 1e-6     # largest admissible |grid mass - 1| of the phase density
 POSTERIOR_FLOOR_RTOL = 1e-12  # posterior denominator must exceed rtol * sum|a_d|
 
-# control and placement constructions
-LADDER_DIM_SLACK = 1e-12     # ceil(n |v| / fmax - slack): an exact multiple keeps its dim
-SHAPE_RANGE_RTOL = 1e-15     # targets may exceed Delta/2 by this relative margin
-SHAPE_SYMMETRY_RTOL = 1e-12  # t and -u pair up when |t + u| <= rtol * max(1, |t|)
+# placement and field profiles
 PROFILE_INVERSE_RTOL = 1e-8  # an inverted profile misses by at most rtol * max(1, |target|)
 SOURCE_CLEARANCE_ATOL = 1e-12  # a power-law source closer than this to a site coincides with it
 

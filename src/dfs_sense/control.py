@@ -13,8 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import (ENUMERATION_GUARD, LADDER_DIM_SLACK, LEVEL_MERGE_RTOL,
-                     LINEAR_GAP_RTOL, SHAPE_RANGE_RTOL, SHAPE_SYMMETRY_RTOL)
+from .config import ENUMERATION_GUARD, LEVEL_MERGE_RTOL, LINEAR_GAP_RTOL
 from .errors import Degenerate, NotLinear, TooLarge, Unreachable
 from .fields import (Number, NoiseModel, SensorArray, SpatialField, _as_vector,
                      _exactable, _numbers, _orthogonal)
@@ -92,12 +91,13 @@ def flip_schedule_for(target: Number, local_max: Number) -> FlipSchedule:
     Holds +local_max for a fraction alpha = (target + local_max)/(2 local_max)
     and -local_max for the rest.
     """
-    if float(local_max) <= 0.0:
+    # checked in the inputs' own arithmetic: a Fraction may round onto a bound
+    t, m = _numbers(target, local_max)
+    if m <= 0:
         raise Unreachable("local_max must be positive")
-    if abs(float(target)) > float(local_max):
+    if abs(t) > m:
         raise Unreachable(
             f"target {float(target)} exceeds the physical spin {float(local_max)}")
-    t, m = _numbers(target, local_max)
     alpha = (t + m) / (2 * m)
     if alpha >= 1:
         return FlipSchedule((), +1, local_max)
@@ -184,55 +184,6 @@ def _merge_levels(values: list[Number]) -> tuple[tuple[Number, ...], list[int]]:
             starts.append(i)
             first.append(i)
     return tuple(values[i] for i in starts), first
-
-
-@record
-class LadderPlan:
-    """Equally spaced configuration ladder aligned with the protected signal."""
-
-    configs: tuple[SpinConfig, ...]
-    spectrum: EffectiveSpectrum
-    site_schedules: tuple[FlipSchedule, ...]
-    economy_dims: tuple[int, ...]
-
-
-def ladder_probe(f_perp: SpatialField, n: int) -> LadderPlan:
-    """Configuration ladder s_m = m * f_perp / f_perp_max, m in {-n/2..n/2}.
-
-    Produces n+1 protected configurations whose generator eigenvalues are
-    equally spaced with range n * |f_perp|^2 / f_perp_max. site_schedules
-    realize the top rung (one flip per site at (1 + f_j/f_max)/2); lower
-    rungs reuse the same flip time on proportionally fewer quanta.
-    economy_dims reports the per-site dimension ceil(n |f_j| / f_max) that a
-    trimmed local system would need.
-    """
-    if n < 0 or n % 2 != 0:
-        raise ValueError("n must be a nonnegative even integer")
-    # the top rung's spin scale n/2 is exact, so it follows f_perp's kind
-    half_n, *fvals = _numbers(Fraction(n, 2), *f_perp.values)
-    fmax = max(abs(v) for v in fvals)
-    norm2 = sum(v * v for v in fvals)
-
-    configs = []
-    levels = []
-    for m in range(-(n // 2), n // 2 + 1):
-        s = tuple(m * v / fmax for v in fvals)
-        configs.append(SpinConfig(s))
-        levels.append(m * norm2 / fmax)
-    spectrum = EffectiveSpectrum.from_levels(levels, configs)
-
-    schedules = []
-    dims = []
-    for v in fvals:
-        if n == 0:
-            schedules.append(FlipSchedule((), +1, Fraction(1, 2)))
-            dims.append(1)
-            continue
-        # |v / fmax| <= 1 survives rounding, so the top rung stays physical
-        target = half_n * (v / fmax)
-        schedules.append(flip_schedule_for(target, half_n))
-        dims.append(int(np.ceil(n * abs(float(v)) / float(fmax) - LADDER_DIM_SLACK)) or 1)
-    return LadderPlan(tuple(configs), spectrum, tuple(schedules), tuple(dims))
 
 
 def sign_matched_anchor(array: SensorArray, f_perp: SpatialField) -> SpinConfig:
@@ -355,55 +306,3 @@ def equalize_multidim(f_perp: SpatialField | Sequence[Number]
         raise Degenerate("projections collapsed; fewer than 4 distinct levels")
     return s_eff, spectrum
 
-
-@record
-class ShapedSpectrum:
-    """Arbitrary spectrum carved from degenerate two-level copies.
-
-    switch_fractions[i] is the fraction of the evolution each copy spends in
-    the upper extremal state to realize spectrum.levels[i]; half_range_mixing
-    marks the asymmetric variant (targets not closed under negation), which
-    mixes against a zero-eigenvalue reference instead of the lower extreme.
-    """
-
-    spectrum: EffectiveSpectrum
-    switch_fractions: tuple[Number, ...]
-    half_range_mixing: bool
-    copies_used: int
-
-
-def shape_spectrum(base: EffectiveSpectrum, degeneracy: int,
-                   targets: Sequence[Number]) -> ShapedSpectrum:
-    """Realize arbitrary eigenvalues inside a two-level range by timed switching.
-
-    Each target lam in [-Delta/2, Delta/2] is produced by holding the upper
-    extremal state for a fraction alpha = (lam + Delta/2)/Delta of the time.
-    Symmetric target sets pair (+lam, -lam) on one degenerate copy each;
-    asymmetric sets use one copy per target and are flagged.
-    """
-    if base.L != 2:
-        raise ValueError("base must be a two-level spectrum")
-    if degeneracy < 1:
-        raise ValueError("degeneracy must be >= 1")
-    if len(targets) == 0:
-        raise ValueError("at least one target level required")
-    delta, *targets = _numbers(base.Delta, *targets)
-    half = delta / 2
-    for lam in targets:
-        if abs(float(lam)) > float(half) * (1 + SHAPE_RANGE_RTOL):
-            raise Unreachable(f"target {float(lam)} outside [-Delta/2, Delta/2]")
-    tlist = sorted(set(targets))
-    symmetric = all(any(abs(float(t) + float(u))
-                        <= SHAPE_SYMMETRY_RTOL * max(1.0, abs(float(t)))
-                        for u in tlist) for t in tlist)
-    if symmetric:
-        copies = sum(1 for t in tlist if float(t) > 0) + (1 if any(float(t) == 0 for t in tlist) else 0)
-    else:
-        copies = len(tlist)
-    if copies > degeneracy:
-        raise Unreachable(
-            f"{copies} degenerate copies needed, only {degeneracy} available")
-
-    fractions = tuple((lam + half) / delta for lam in tlist)
-    spectrum = EffectiveSpectrum.from_levels(tlist)
-    return ShapedSpectrum(spectrum, fractions, not symmetric, copies)

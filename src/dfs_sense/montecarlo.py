@@ -248,6 +248,15 @@ def _summarize(kind: str, t: float, seed: int, stats, nu: int, extra: dict
                              holevo_stderr=hol_se, nu=nu, extra=extra)
 
 
+def _sampler(probe_or_rho, spectrum: EffectiveSpectrum) -> CanonicalSampler:
+    """The run's canonical sampler; ValueError unless the probe (amplitudes
+    or rho) has one level per spectrum level."""
+    sampler = CanonicalSampler(probe_or_rho)
+    if len(sampler.coherence_sums) != spectrum.L:
+        raise ValueError("probe and spectrum level counts differ")
+    return sampler
+
+
 def run_estimation_trials(probe_or_rho, spectrum: EffectiveSpectrum,
                           prior: FlatPrior, t: float, trials: int, seed: int,
                           nu: int = 1) -> EstimationSummary:
@@ -271,7 +280,7 @@ def run_estimation_trials(probe_or_rho, spectrum: EffectiveSpectrum,
     if t * g * prior.width > 2.0 * np.pi * (1.0 + TIME_SLACK):
         raise ValueError("t g W0 exceeds 2 pi: the prior width does not fit "
                          "in one phase period")
-    sampler = CanonicalSampler(probe_or_rho)
+    sampler = _sampler(probe_or_rho, spectrum)
     tg = t * g
 
     def shots(rng, size):
@@ -316,7 +325,7 @@ def simulate_fixed_time(probe_or_rho, spectrum: EffectiveSpectrum,
     """
     if t <= 0:
         raise ValueError("t must be positive")
-    sampler = CanonicalSampler(probe_or_rho)
+    sampler = _sampler(probe_or_rho, spectrum)
     tg = t * spectrum.gap
     # the table ends at the wrap point 2 pi with its first value, so theta in
     # [0, 2 pi], 2 pi included, needs no periodic wrap
@@ -351,7 +360,7 @@ def simulate_adaptive(probe_or_rho, spectrum: EffectiveSpectrum,
     if len(widths) != len(times) or not widths:
         raise InsufficientTime("empty adaptive schedule")
     g = spectrum.gap
-    sampler = CanonicalSampler(probe_or_rho)
+    sampler = _sampler(probe_or_rho, spectrum)
     rounds = list(zip(times, widths))
     W0, lo0 = prior.width, prior.lower
     final_w = widths[-1]

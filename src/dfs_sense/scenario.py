@@ -211,6 +211,10 @@ def _parse_field(doc, path: str, noise: bool = False) -> FieldSpec:
     if "values" in doc:
         if "profile" in doc:
             raise ScenarioError("give values or profile, not both", path)
+        for key in ("amplitude", "alpha", "source"):
+            if key in doc:
+                raise ScenarioError(f"{key} only applies to a profile",
+                                    f"{path}.{key}")
         vals = doc["values"]
         if (not isinstance(vals, list) or not vals
                 or not all(_is_num(v) for v in vals)):
@@ -382,10 +386,12 @@ def _field_for(spec: FieldSpec, array: SensorArray, label: str,
 def build_scenario(scenario: Scenario) -> BuiltScenario:
     """Instantiate array, fields, protected component, and spectrum.
 
-    Placement arrays with a gradient signal use the family's closed-form
-    spectrum (scaled by the gradient amplitude); every other combination
-    takes control.protected_spectrum, which enumerates protected
-    configurations explicitly, guarded by the enumeration size cap.
+    Placement arrays with a gradient signal and noise constant across the
+    sites (or none) use the family's closed-form spectrum (scaled by the
+    gradient amplitude): its configurations, the zero-total-spin sector or
+    the antialigned pairs, are protected against uniform noise only. Every
+    other combination takes control.protected_spectrum, which enumerates
+    protected configurations explicitly, guarded by the enumeration size cap.
     """
     plan = scenario.array if isinstance(scenario.array, PlacementPlan) else None
     array = scenario.array if plan is None else plan.as_sensor_array()
@@ -396,7 +402,8 @@ def build_scenario(scenario: Scenario) -> BuiltScenario:
     noise = NoiseModel(noise_fields)
     f_perp = orthogonal_complement(signal, noise)
 
-    if plan is not None and scenario.signal.profile == "gradient":
+    if (plan is not None and scenario.signal.profile == "gradient"
+            and all(len(set(f.values)) == 1 for f in noise_fields)):
         a = abs(scenario.signal.amplitude)
         levels = tuple(a * float(v) for v in plan.predicted_levels())
         spectrum = EffectiveSpectrum.from_levels(levels)

@@ -1,4 +1,5 @@
-"""Numeric constants: each one in config.py is read by the package."""
+"""Leftovers of refactors: each constant in config.py is read by the
+package, and each name a module imports is read by that module."""
 
 import ast
 from pathlib import Path
@@ -30,3 +31,38 @@ def test_every_config_constant_is_read():
     for path in package.glob("*.py"):
         read |= _loads(ast.parse(path.read_text()))
     assert sorted(constants - read) == []
+
+
+def _unread_imports(tree: ast.AST, lines: list[str]) -> list[str]:
+    """Names bound by the module's imports that it never loads (an attribute
+    base such as np in np.pi is a Name load); a __future__ import and one
+    whose statement carries "# noqa: F401" are exempt."""
+    bound = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if any("# noqa: F401" in line
+               for line in lines[node.lineno - 1:node.end_lineno]):
+            continue
+        bound |= {(a.asname or a.name).split(".")[0] for a in node.names}
+    loads = {node.id for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted(bound - loads)
+
+
+def test_every_import_is_read():
+    sample = "import os, sys  # noqa: F401\nimport numpy as np\nfrom math import pi\nnp.e\n"
+    assert _unread_imports(ast.parse(sample), sample.splitlines()) == ["pi"]
+    # __init__.py is skipped: its imports are the package's exports
+    package = Path(config.__file__).parent
+    unread = {}
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        text = path.read_text()
+        names = _unread_imports(ast.parse(text), text.splitlines())
+        if names:
+            unread[path.name] = names
+    assert unread == {}

@@ -532,17 +532,30 @@ def test_adaptive_runs_and_reports():
     assert out.mse == again.mse
 
 
-@pytest.mark.parametrize("estimate", [
+_ESTIMATORS = pytest.mark.parametrize("estimate", [
     lambda p, sp: run_estimation_trials(p, sp, FlatPrior(1.0), 1.0, 100, 0),
     lambda p, sp: simulate_fixed_time(p, sp, GaussianPrior(1.0), 1.0, 100, 0),
     lambda p, sp: simulate_adaptive(p, sp, FlatPrior(1.0), (0.5,), (1.0,),
                                     100, 0)],
     ids=["flat", "fixed_time", "adaptive"])
+
+
+@_ESTIMATORS
 def test_estimators_reject_a_non_uniform_ladder(estimate):
     # gaps 1 and 2: no uniform gap exists, so no estimator may assume Delta/(L-1)
     sp = EffectiveSpectrum((0.0, 1.0, 3.0))
     with pytest.raises(NotLinear, match="uniformly spaced"):
         estimate(berry_wiseman_probe(sp), sp)
+
+
+@_ESTIMATORS
+def test_estimators_reject_a_probe_of_another_length(estimate):
+    # a 4-level probe on a 16-level ladder, as amplitudes and as rho, is
+    # refused as variance_reduction refuses it
+    p = berry_wiseman_probe(4)
+    for probe in (p, p.vector, np.outer(p.vector, p.vector.conj())):
+        with pytest.raises(ValueError, match="level counts differ"):
+            estimate(probe, _linear(16))
 
 
 def test_summary_to_dict_keys():

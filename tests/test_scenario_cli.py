@@ -220,6 +220,26 @@ def test_build_placement_gradient_scales_levels():
     assert built.channel is not None and built.channel.K == 1
 
 
+@pytest.mark.parametrize("noise, closed_form", [
+    ([], True), ([{"profile": "constant", "amplitude": 3.0}], True),
+    ([{"values": [2.0, 2.0, 2.0, 2.0]}], True),
+    ([{"profile": "constant"}, {"profile": "power_law", "alpha": 2,
+                                 "source": -3}], False),
+    ([{"values": [1.0, 0.5, 0.5, 1.0]}], False)],
+    ids=["none", "constant", "constant-values", "with-power-law",
+         "varying-values"])
+def test_build_placement_closed_form_only_under_uniform_noise(noise,
+                                                              closed_form):
+    # the closed-form configurations are protected against uniform noise only
+    built = build_scenario(parse_scenario(_base_doc(
+        array={"placement": "linear", "N": 4}, noise=noise)))
+    enumerated = protected_spectrum(built.array, built.noise, built.signal,
+                                    built.f_perp)
+    closed = EffectiveSpectrum.from_levels(
+        [float(v) for v in built.plan.predicted_levels()])
+    assert built.spectrum == (closed if closed_form else enumerated)
+
+
 def test_build_explicit_enumerates_configs():
     built = build_scenario(parse_scenario(_base_doc()))
     assert built.plan is None
@@ -413,6 +433,20 @@ def test_cli_exit_2_values_length(tmp_path, capsys, key, path):
     assert rc == 2
     err = capsys.readouterr().err
     assert "scenario error" in err and f"{path}: 3 values for 4 sites" in err
+
+
+@pytest.mark.parametrize("key", ["amplitude", "alpha", "source"])
+@pytest.mark.parametrize("where, path", [("signal", "signal"),
+                                         ("noise", "noise[0]")])
+def test_cli_exit_2_profile_keys_next_to_values(tmp_path, capsys, where, path,
+                                                key):
+    # explicit values take no amplitude, alpha or source; none may be dropped
+    field = {"values": [1.0, 2.0, 4.0, 8.0], key: 5.0}
+    doc = _base_doc(**{where: field if where == "signal" else [field]})
+    rc = cli.main(["spectrum", "--scenario", _write(tmp_path, doc)])
+    assert rc == 2
+    assert (capsys.readouterr().err.strip()
+            == f"scenario error: {path}.{key}: {key} only applies to a profile")
 
 
 @pytest.mark.parametrize("key, path", [
@@ -782,6 +816,25 @@ def test_cli_dfs_check_pairs_one_configuration_per_protected_level(
     assert [r["pair"] for r in rows] == want + ["contrast"]
     for r in rows[:-1]:
         assert (r["analytic"], r["empirical"], r["stderr"], r["z"]) == (1, 1, 0, 0)
+
+
+def test_cli_placement_ladder_respects_nonuniform_noise(tmp_path, capsys,
+                                                        monkeypatch):
+    # constant and power-law noise leave linear N = 4 one protected level,
+    # as dfs-check reports; the closed form's five levels are not protected
+    _typed_infeasible_only(monkeypatch)
+    path = _write(tmp_path, _base_doc(
+        array={"placement": "linear", "N": 4},
+        noise=[{"profile": "constant"},
+               {"profile": "power_law", "alpha": 2, "source": -3}]))
+    assert cli.main(["spectrum", "--scenario", path]) == 0
+    out = capsys.readouterr().out
+    assert "# L: 1\n" in out and "\n0,0,0.5;-0.5;-0.5;0.5\n" in out
+    assert cli.main(["protocol", "--scenario", path]) == 3
+    assert capsys.readouterr().err.strip() == "infeasible: spectrum has no spread"
+    assert cli.main(["dfs-check", "--scenario", path]) == 3
+    assert (capsys.readouterr().err.strip()
+            == "infeasible: fewer than two protected configurations")
 
 
 def test_cli_dfs_check_placement_memory(tmp_path, capsys):
