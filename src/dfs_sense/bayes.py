@@ -355,9 +355,30 @@ def variance_reduction(probe: ProbeState, prior: GaussianPrior,
 # canonical covariant phase measurement
 # ---------------------------------------------------------------------------
 
+_TWO_PI = 2.0 * np.pi
+
+
+def _mod_2pi(x) -> np.ndarray:
+    """np.mod(x, 2 pi), bit for bit.
+
+    On a float64 array in [0, 4 pi) the remainder np.mod takes through
+    fmod is exact: x itself below 2 pi (-0.0 becoming +0.0), x - 2 pi
+    above, and that difference is exact by Sterbenz's lemma. One compare
+    selects the offset, one add applies it. Anything else (a 0-d or empty
+    array, another dtype, a value out of range or NaN) goes to np.mod.
+    """
+    x = np.asarray(x)
+    if (x.dtype != np.float64 or x.ndim == 0 or x.size == 0
+            or not (x.min() >= 0.0 and x.max() < 2.0 * _TWO_PI)):
+        return np.mod(x, _TWO_PI)
+    out = np.where(x >= _TWO_PI, -_TWO_PI, 0.0)
+    out += x
+    return out
+
+
 def wrap_pi(x):
     """Wrap angles to [-pi, pi)."""
-    return np.mod(np.asarray(x) + np.pi, 2.0 * np.pi) - np.pi
+    return _mod_2pi(np.asarray(x) + np.pi) - np.pi
 
 
 def _coherence_sums(amplitudes_or_rho) -> np.ndarray:
@@ -482,7 +503,7 @@ class CanonicalSampler:
                shift: float | np.ndarray = 0.0) -> np.ndarray:
         """Draw outcomes in [0, 2pi), optionally shifted by the true phase."""
         base = self._inverse_cdf(rng.random(size))
-        return np.mod(base + shift, 2.0 * np.pi)
+        return _mod_2pi(base + shift)
 
     def posterior_mean_table(self, prior: GaussianPrior, tg: float) -> np.ndarray:
         """Posterior mean of omega given the outcome theta at each of the knots.

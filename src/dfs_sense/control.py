@@ -8,6 +8,7 @@ rationals whenever the inputs are rational.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -49,6 +50,8 @@ class FlipSchedule:
     def __post_init__(self):
         if self.start_sign not in (-1, 1):
             raise ValueError("start_sign must be +-1")
+        if not (self.local_max > 0):
+            raise ValueError("local_max must be positive")
         # compared as given: a Fraction just below 1 may round to 1.0
         fr = self.flip_fractions
         if any(not (0 < f < 1) for f in fr):
@@ -93,6 +96,9 @@ def flip_schedule_for(target: Number, local_max: Number) -> FlipSchedule:
     """
     # checked in the inputs' own arithmetic: a Fraction may round onto a bound
     t, m = _numbers(target, local_max)
+    for name, v in (("target", t), ("local_max", m)):
+        if isinstance(v, float) and not math.isfinite(v):  # Fractions are finite
+            raise Unreachable(f"{name} must be finite, got {v}")
     if m <= 0:
         raise Unreachable("local_max must be positive")
     if abs(t) > m:

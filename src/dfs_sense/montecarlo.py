@@ -7,6 +7,10 @@ by its index. A chunk reduces its per-trial columns to (n, mean, comoment),
 merged in chunk order (Chan, Golub & LeVeque, Am. Stat. 37, 1983): memory
 is flat in the trial count and the output bit-identical for a given seed
 at any worker thread count (DFS_SENSE_THREADS environment variable).
+The chunks run on the calling thread plus at most workers - 1 helper
+threads, never more threads than chunks. Each worker owns one generator
+and re-keys it in place to each chunk's stream (Salmon et al., SC'11):
+a counter-based stream starts from its key alone.
 
 Estimation trials exploit covariance of the canonical measurement: the
 outcome density at true phase phi is the base density rigidly shifted by
@@ -17,7 +21,7 @@ from __future__ import annotations
 
 import ctypes
 import math
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from functools import reduce
 
 import numpy as np
@@ -37,8 +41,24 @@ _DRAW_BLOCK = 1 << 16  # repeat outcomes drawn at once, so memory is flat in nu
 
 
 def _stream(seed: int, index: int) -> np.random.Generator:
+    """A new generator at the start of the Philox stream keyed by (seed, index)."""
     key = np.array([seed & _MASK64, index & _MASK64], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def _rekey(rng: np.random.Generator, seed: int, index: int) -> None:
+    """Move rng in place to where _stream(seed, index) starts.
+
+    Key (seed, index), counter 0, empty output buffer, no cached uint32:
+    the whole state of a new Philox, without the OS-entropy SeedSequence
+    that Philox(key=...) builds and the key then overrides.
+    """
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, 0, 0, 0),
+                  "key": (seed & _MASK64, index & _MASK64)},
+        "buffer": (0, 0, 0, 0), "buffer_pos": 4,
+        "has_uint32": 0, "uinteger": 0}
 
 
 def _merge(a, b):
@@ -72,22 +92,44 @@ def _release_freed_heap() -> None:
 
 
 def _run_chunked(trials: int, seed: int, chunk_fn):
-    """Merged (n, mean, comoment) of the columns chunk_fn(rng, size, start) returns."""
+    """Merged (n, mean, comoment) of the columns chunk_fn(rng, size, start) returns.
+
+    Chunk idx draws from the stream (seed, 2^32 + idx). The calling thread
+    and workers - 1 helpers take chunk indices from one shared iterator and
+    store each chunk's moments at its index; they are merged in chunk
+    order. The first exception a worker raises stops every worker at its
+    next chunk and is re-raised here.
+    """
     if trials < MIN_TRIALS:
         raise ValueError(f"trials must be at least {MIN_TRIALS}")
     _release_freed_heap()
-    jobs = [(idx, start, min(_CHUNK, trials - start))
-            for idx, start in enumerate(range(0, trials, _CHUNK))]
-    workers = min(worker_count(), len(jobs))
+    chunks = range(0, trials, _CHUNK)
+    records = [None] * len(chunks)
+    errors = []
+    todo = enumerate(chunks)  # next() on it runs under the GIL: no lock
 
-    def work(job):
-        idx, start, size = job
-        return _moments(chunk_fn(_stream(seed, (1 << 32) + idx), size, start))
+    def work():
+        try:
+            rng = _stream(seed, 0)  # re-keyed before every chunk
+            for idx, start in todo:
+                if errors:
+                    return
+                _rekey(rng, seed, (1 << 32) + idx)
+                records[idx] = _moments(
+                    chunk_fn(rng, min(_CHUNK, trials - start), start))
+        except BaseException as exc:  # re-raised in the caller
+            errors.append(exc)
 
-    if workers <= 1:
-        return reduce(_merge, map(work, jobs))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return reduce(_merge, pool.map(work, jobs))
+    helpers = [threading.Thread(target=work)
+               for _ in range(min(worker_count(), len(chunks)) - 1)]
+    for h in helpers:
+        h.start()
+    work()
+    for h in helpers:
+        h.join()
+    if errors:
+        raise errors[0]
+    return reduce(_merge, records)
 
 
 # ---------------------------------------------------------------------------
@@ -299,9 +341,13 @@ def run_estimation_trials(probe_or_rho, spectrum: EffectiveSpectrum,
         return resid
 
     def chunk_fn(rng, size, _start):
-        # omega's offset in the prior window: the draw keeps the stream, but
-        # the covariant measurement's error does not depend on it
-        rng.random(size)
+        # omega's offset in the prior window: the covariant measurement's
+        # error does not depend on it, so its size doubles are skipped. Philox
+        # makes 4 per counter step; on the chunk's new stream, advancing the
+        # counter by size // 4 and drawing the size % 4 left over leaves the
+        # stream where drawing all of them would
+        rng.bit_generator.advance(size // 4)
+        rng.random(size % 4)
         resid = shots(rng, size)
         err = resid / tg
         return err * err, np.cos(resid), np.sin(resid), resid ** 2

@@ -427,6 +427,35 @@ def test_wrap_pi_range():
     assert np.all(w >= -np.pi) and np.all(w < np.pi)
 
 
+_TWO_PI = 2.0 * np.pi
+_MOD_EDGES = np.array([0.0, -0.0, np.pi, np.nextafter(_TWO_PI, 0.0), _TWO_PI,
+                       np.nextafter(_TWO_PI, np.inf),
+                       np.nextafter(2 * _TWO_PI, 0.0), 2 * _TWO_PI, -3.0, 1e6,
+                       np.inf, -np.inf, np.nan])
+
+
+def test_mod_2pi_equals_np_mod_bit_for_bit():
+    with np.errstate(invalid="ignore"):  # np.mod of +-inf
+        # the whole array, each value as a one-element array, each as a scalar
+        for x in (_MOD_EDGES, *_MOD_EDGES[:, None], *_MOD_EDGES):
+            assert (bayes._mod_2pi(x).tobytes()
+                    == np.mod(x, _TWO_PI).tobytes()), x
+    rng = np.random.default_rng(0)
+    x = rng.uniform(0.0, 2 * _TWO_PI, 10 ** 5)
+    assert bayes._mod_2pi(x).tobytes() == np.mod(x, _TWO_PI).tobytes()
+    grid = x.reshape(-1, 4)  # the repeat protocol's (trials, nu) draws
+    assert bayes._mod_2pi(grid).tobytes() == np.mod(grid, _TWO_PI).tobytes()
+
+
+def test_wrap_pi_equals_the_np_mod_formula():
+    x = np.random.default_rng(1).uniform(-20.0, 20.0, 10 ** 4)
+    for v in (x, np.mod(x, _TWO_PI), _MOD_EDGES[:8]):
+        want = np.mod(v + np.pi, _TWO_PI) - np.pi
+        assert wrap_pi(v).tobytes() == want.tobytes()
+    assert np.isscalar(wrap_pi(3.0)) and wrap_pi(3.0) == 3.0
+    assert np.isscalar(wrap_pi(np.float64(7.0)))
+
+
 def test_canonical_density_uniform_for_single_level():
     th = np.linspace(-np.pi, np.pi, 64, endpoint=False)
     p = canonical_phase_density(np.array([1.0]), th)

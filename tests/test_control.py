@@ -55,6 +55,24 @@ def test_flip_schedule_shapes():
         FlipSchedule((0.7, 0.3), +1, 0.5)
 
 
+@pytest.mark.parametrize("local_max", [0, -0.5, Fraction(-1, 3), 0.0,
+                                       float("nan")])
+def test_flip_schedule_rejects_nonpositive_local_max(local_max):
+    from dfs_sense import FlipSchedule
+    with pytest.raises(ValueError, match="local_max must be positive"):
+        FlipSchedule((), +1, local_max)
+
+
+@pytest.mark.parametrize("target, local_max, name", [
+    (float("nan"), 1.0, "target"), (float("inf"), 1.0, "target"),
+    (-float("inf"), Fraction(1, 2), "target"), (0.2, float("inf"), "local_max"),
+    (0.2, float("nan"), "local_max"), (Fraction(1, 5), -float("inf"), "local_max"),
+])
+def test_flip_schedule_for_rejects_non_finite_inputs(target, local_max, name):
+    with pytest.raises(Unreachable, match=f"^{name} must be finite"):
+        flip_schedule_for(target, local_max)
+
+
 # ----------------------------------------------------------------- spectrum
 
 def test_spectrum_from_levels_exact_dedupe():

@@ -1,7 +1,13 @@
 """Dephasing channels and Monte-Carlo estimation trials."""
 
 import math
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -260,6 +266,133 @@ def test_trials_bit_identical_across_threads(monkeypatch):
     four = _three_simulations(20_000, 7)
     for a, b in zip(one, four):
         assert a.to_dict() == b.to_dict()
+
+
+def _merged_moments(monkeypatch, run):
+    """(n, mean bytes, comoment bytes) of the one _run_chunked pass run makes."""
+    merged = []
+    real = montecarlo._run_chunked
+
+    def keep(*args):
+        merged.append(real(*args))
+        return merged[-1]
+
+    monkeypatch.setattr(montecarlo, "_run_chunked", keep)
+    run()
+    (n, mean, com), = merged
+    return n, mean.tobytes(), com.tobytes()
+
+
+@pytest.mark.parametrize("which", ["flat", "fixed_time", "adaptive", "dephase"])
+def test_merged_moments_bit_identical_at_any_thread_count(which, monkeypatch):
+    trials = 5 * montecarlo._CHUNK + 123  # six chunks, the last one short
+    ch, pairs = _mixed_channel_pairs()
+    runs = dict(_simulations(trials, 11),
+                dephase=lambda: mc_dephase_check(ch, pairs, trials=trials,
+                                                 seed=11))
+    got = []
+    for threads in ("1", "2", "3", "4"):
+        monkeypatch.setenv("DFS_SENSE_THREADS", threads)
+        with monkeypatch.context() as m:
+            got.append(_merged_moments(m, runs[which]))
+    assert got[0][0] == trials
+    assert got[1:] == got[:1] * 3
+
+
+def test_rekeyed_generator_matches_a_new_stream():
+    draws = (lambda g: g.random(7), lambda g: g.normal(0.5, 2.0, 9),
+             lambda g: g.uniform(-1.0, 2.0, 5),
+             lambda g: g.integers(0, 2 ** 31, 3, dtype=np.uint32))
+    for seed, index in ((5, 1 << 32), (-1, (1 << 32) + 7),
+                        (2 ** 64 - 1, 2 ** 64 - 1)):
+        rng = montecarlo._stream(3, 0)
+        # a chunk that left its buffer partly used and a uint32 cached
+        rng.integers(0, 2 ** 32, 1, dtype=np.uint32)
+        rng.random(2)
+        state = rng.bit_generator.state
+        assert state["buffer_pos"] == 3 and state["has_uint32"] == 1
+        for _ in range(2):  # then once more, after the draws below
+            montecarlo._rekey(rng, seed, index)
+            new = montecarlo._stream(seed, index)
+            for draw in draws:
+                assert draw(rng).tobytes() == draw(new).tobytes()
+
+
+@pytest.mark.parametrize("size", [*range(1, 10), 4095, 4096])
+def test_advance_skips_like_discarded_doubles(size):
+    drawn = montecarlo._stream(9, 1 << 32)
+    drawn.random(size)
+    skipped = montecarlo._stream(4, 0)
+    skipped.random(5)
+    montecarlo._rekey(skipped, 9, 1 << 32)
+    skipped.bit_generator.advance(size // 4)
+    skipped.random(size % 4)
+    for draw in (lambda g: g.random(13), lambda g: g.normal(size=6)):
+        assert draw(drawn).tobytes() == draw(skipped).tobytes()
+
+
+class _ChunkFailure(Exception):
+    pass
+
+
+@pytest.mark.parametrize("threads", ["1", "4"])
+def test_chunk_exception_reaches_the_caller(threads, monkeypatch):
+    monkeypatch.setenv("DFS_SENSE_THREADS", threads)
+    raised, caught = [], []
+
+    def chunk_fn(rng, size, start):
+        if start == 3 * montecarlo._CHUNK:  # chunk 3 of 10
+            raised.append(_ChunkFailure(start))
+            raise raised[-1]
+        return rng.random((2, size))
+
+    def call():
+        try:
+            montecarlo._run_chunked(10 * montecarlo._CHUNK, 0, chunk_fn)
+        except _ChunkFailure as exc:
+            caught.append(exc)
+
+    before = threading.active_count()
+    caller = threading.Thread(target=call, daemon=True)
+    caller.start()
+    caller.join(60)
+    assert not caller.is_alive(), "_run_chunked hung"
+    assert len(raised) == 1 and caught == raised
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("threads, chunks, helpers",
+                         [("1", 5, 0), ("4", 2, 1), ("4", 9, 3), ("3", 3, 2)])
+def test_helper_threads_never_outnumber_chunks(threads, chunks, helpers,
+                                               monkeypatch):
+    monkeypatch.setenv("DFS_SENSE_THREADS", threads)
+    started = []
+
+    class Counting(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(montecarlo, "threading",
+                        types.SimpleNamespace(Thread=Counting))
+    n, _, _ = montecarlo._run_chunked(chunks * montecarlo._CHUNK, 0,
+                                      lambda rng, size, _start: rng.random((1, size)))
+    assert n == chunks * montecarlo._CHUNK and len(started) == helpers
+
+
+def test_import_leaves_out_concurrent_futures():
+    # the chunk engine runs on plain threads: concurrent.futures (with the
+    # logging, queue and traceback modules it imports) stays out of every
+    # dfs-sense process
+    src = Path(montecarlo.__file__).resolve().parent.parent
+    code = ("import sys; import dfs_sense; from dfs_sense import cli; "
+            "cli.build_parser(); print(sorted(m for m in sys.modules "
+            "if m.startswith('concurrent')))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env)
+    assert out.stdout.strip() == "[]"
 
 
 def test_merge_matches_moments_of_joined_columns():

@@ -752,22 +752,22 @@ def test_cli_dfs_check_gauge_invariant(tmp_path, capsys, factor):
 def test_cli_dfs_check_one_pass_at_any_thread_count(tmp_path, capsys,
                                                    monkeypatch):
     from dfs_sense import montecarlo
-    pools = []
+    passes = []
+    run = montecarlo._run_chunked
 
-    class CountingPool(montecarlo.ThreadPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            pools.append(self)
-            super().__init__(*args, **kwargs)
+    def counting(*args):
+        passes.append(args)
+        return run(*args)
 
-    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", CountingPool)
+    monkeypatch.setattr(montecarlo, "_run_chunked", counting)
     path = _write(tmp_path, _base_doc(trials=20_000))
     out = []
     for threads in ("1", "4"):
         monkeypatch.setenv("DFS_SENSE_THREADS", threads)
-        pools.clear()
+        passes.clear()
         assert cli.main(["dfs-check", "--scenario", path]) == 0
         out.append(capsys.readouterr().out)
-        assert len(pools) <= 1
+        assert len(passes) == 1  # every pair from one Monte-Carlo pass
     assert out[0] == out[1]
     assert len(out[0].splitlines()) > 5  # comments, header, several pairs
 
