@@ -56,7 +56,9 @@ PREDICTED_LEVEL_CAP = 2 ** 16  # longest closed-form ladder PlacementPlan.predic
 def worker_count() -> int:
     """Resolve the Monte-Carlo worker count.
 
-    DFS_SENSE_THREADS caps the pool; unset falls back to os.cpu_count().
+    DFS_SENSE_THREADS caps the pool; unset falls back to the CPUs this
+    process may run on (os.sched_getaffinity where the platform has it, else
+    os.cpu_count()).
     """
     env = os.environ.get(THREADS_ENV_VAR, "").strip()
     if env:
@@ -64,4 +66,6 @@ def worker_count() -> int:
             return max(1, int(env))
         except ValueError:
             return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1

@@ -176,20 +176,51 @@ class EffectiveSpectrum:
 def _merge_levels(values: list[Number]) -> tuple[tuple[Number, ...], list[int]]:
     """Ascending distinct levels and, per level, the position of the first
     value merged into it. Sorted values merge into the level of the smallest
-    one when equal (exact values) or within LEVEL_MERGE_RTOL * range (floats)."""
+    one when equal (exact values) or within LEVEL_MERGE_RTOL * range (floats:
+    fl[j] - fl[start] <= tol, anchored at the level's smallest value)."""
     fl = [float(v) for v in values]
-    exact = _exactable(*values)
-    tol = 0.0 if exact else LEVEL_MERGE_RTOL * (max(fl) - min(fl))
-    starts: list[int] = []
-    first: list[int] = []
-    for i in np.argsort(fl, kind="stable").tolist():
-        if starts and (values[i] == values[starts[-1]] if exact
-                       else fl[i] - fl[starts[-1]] <= tol):
-            first[-1] = min(first[-1], i)
-        else:
-            starts.append(i)
-            first.append(i)
-    return tuple(values[i] for i in starts), first
+    if _exactable(*values):
+        starts: list[int] = []
+        first: list[int] = []
+        for i in np.argsort(fl, kind="stable").tolist():
+            if starts and values[i] == values[starts[-1]]:
+                first[-1] = min(first[-1], i)
+            else:
+                starts.append(i)
+                first.append(i)
+        return tuple(values[i] for i in starts), first
+    tol = LEVEL_MERGE_RTOL * (max(fl) - min(fl))
+    fa = np.asarray(fl)
+    order = np.argsort(fa, kind="stable")
+    srt = fa[order]
+    vals = srt.tolist()
+    # a gap above tol to the previous sorted value starts a level, since the
+    # start-anchored difference is at least that gap; inside a run of closer
+    # values the next start after p is the first j with vals[j] - vals[p] >
+    # tol, monotone in j: bracketed by doubling steps from p, then bisected
+    with np.errstate(invalid="ignore"):  # inf - inf is nan, as in Python
+        breaks = np.flatnonzero(np.diff(srt) > tol) + 1
+    edges = [0, *breaks.tolist(), len(vals)]
+    pos = []  # sorted positions where a level starts
+    for p, end in zip(edges, edges[1:]):
+        pos.append(p)
+        while end - p > 1:
+            lo = hi = p + 1
+            while hi < end and vals[hi] - vals[p] <= tol:
+                lo, hi = hi + 1, p + 2 * (hi - p)
+            hi = min(hi, end)
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if vals[mid] - vals[p] <= tol:
+                    lo = mid + 1
+                else:
+                    hi = mid
+            if lo == end:
+                break
+            pos.append(lo)
+            p = lo
+    first = np.minimum.reduceat(order, pos).tolist()
+    return tuple(values[i] for i in order[pos].tolist()), first
 
 
 def sign_matched_anchor(array: SensorArray, f_perp: SpatialField) -> SpinConfig:

@@ -1,10 +1,30 @@
-"""Leftovers of refactors: each constant in config.py is read by the
-package, and each name a module imports is read by that module."""
+"""Worker-count resolution, and leftovers of refactors: each constant in
+config.py is read by the package, and each name a module imports is read by
+that module."""
 
 import ast
+import os
 from pathlib import Path
 
 from dfs_sense import config
+
+
+def test_worker_count_defaults_to_the_cpus_this_process_may_run_on(monkeypatch):
+    monkeypatch.delenv(config.THREADS_ENV_VAR, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+    assert config.worker_count() == 1
+    monkeypatch.setenv(config.THREADS_ENV_VAR, "3")
+    assert config.worker_count() == 3
+
+
+def test_worker_count_without_affinity_counts_cpus(monkeypatch):
+    monkeypatch.delenv(config.THREADS_ENV_VAR, raising=False)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 5)
+    assert config.worker_count() == 5
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert config.worker_count() == 1
 
 
 def _loads(tree: ast.AST) -> set[str]:

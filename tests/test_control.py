@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 from dfs_sense import control
 from dfs_sense import (Degenerate, EffectiveSpectrum, NoiseModel, SensorArray,
                        SpatialField, SpinConfig, TooLarge, Unreachable, arbitrary_exponential_placement,
-                       arbitrary_linear_placement, dfs_condition,
+                       arbitrary_linear_placement, build_scenario, dfs_condition,
                        effective_signal_gap, enumerate_dfs_configs,
                        equalize_multidim, exponential_placement,
-                       flip_schedule_for, linear_placement,
+                       flip_schedule_for, linear_placement, parse_scenario,
                        sign_matched_anchor)
 
 
@@ -107,6 +107,78 @@ def test_from_levels_reports_first_given_config():
     sp = EffectiveSpectrum.from_levels([1.0 + 1e-15, 1.0, 0.0], [a, b, c])
     assert sp.levels == (0.0, 1.0)   # a merged level keeps its smallest value
     assert sp.configs == (c, a)
+
+
+def _merge_levels_loop(values):
+    """control._merge_levels as one Python loop over the sorted values: the
+    reference its float path must equal."""
+    fl = [float(v) for v in values]
+    exact = control._exactable(*values)
+    tol = 0.0 if exact else control.LEVEL_MERGE_RTOL * (max(fl) - min(fl))
+    starts, first = [], []
+    for i in np.argsort(fl, kind="stable").tolist():
+        if starts and (values[i] == values[starts[-1]] if exact
+                       else fl[i] - fl[starts[-1]] <= tol):
+            first[-1] = min(first[-1], i)
+        else:
+            starts.append(i)
+            first.append(i)
+    return tuple(values[i] for i in starts), first
+
+
+def _protected_values(J, quanta, noise):
+    """The raw signal values protected_spectrum merges, on J sites at
+    irregular positions under a gradient signal."""
+    built = build_scenario(parse_scenario({
+        "array": {"positions": [0.3 + 0.71 * j for j in range(J)],
+                  "quanta_per_site": [quanta] * J},
+        "signal": {"profile": "gradient", "amplitude": 1.37},
+        "noise": noise, "prior": {"kind": "flat", "width": 1.0},
+        "protocol": {"kind": "single_shot_flat"}}))
+    rows = control._dfs_rows(built.array, built.noise, sign_matched_anchor(
+        built.array, built.f_perp))
+    return np.vecdot(control._spins(built.array, rows),
+                     built.signal.vector).tolist()
+
+
+_NOISE_2 = [{"profile": "constant"},
+            {"profile": "power_law", "alpha": 1.0, "source": -1.3}]
+
+
+@pytest.mark.parametrize("J, quanta, K", [
+    (9, 2, 0), (9, 2, 1), (9, 2, 2), (17, 2, 1), (17, 2, 2),
+    (6, 3, 0), (6, 3, 1), (6, 3, 2)])
+def test_merge_levels_equals_loop_on_protected_values(J, quanta, K):
+    values = _protected_values(J, quanta, _NOISE_2[:K])
+    assert control._merge_levels(values) == _merge_levels_loop(values)
+
+
+def test_merge_levels_equals_loop_on_random_floats_with_ties():
+    rng = np.random.default_rng(7)
+    for n in (1, 2, 3, 10, 100, 1000):
+        for scale in (1.0, 1e-9, 1e-12):
+            # few distinct values, some nudged by less than the tolerance
+            base = rng.random(max(1, n // 4))
+            values = (base[rng.integers(0, len(base), n)]
+                      + scale * rng.random(n) * (rng.random(n) < 0.5)).tolist()
+            assert control._merge_levels(values) == _merge_levels_loop(values)
+
+
+def test_merge_levels_chain_splits_where_the_loop_splits():
+    # consecutive values 0.6 tol apart: every other one starts a level, since
+    # the test runs against the level's smallest value, not its neighbour
+    values = [0.6e-9 * k for k in range(40)] + [1.0]
+    levels, first = control._merge_levels(values)
+    assert (levels, first) == _merge_levels_loop(values)
+    assert levels[:3] == (0.0, values[2], values[4])
+    reverse = values[::-1]
+    assert control._merge_levels(reverse) == _merge_levels_loop(reverse)
+
+
+def test_merge_levels_equals_loop_on_20_qubits():
+    values = _protected_values(20, 2, _NOISE_2[:1])
+    assert len(values) == 184_756
+    assert control._merge_levels(values) == _merge_levels_loop(values)
 
 
 # -------------------------------------------------------------- enumeration

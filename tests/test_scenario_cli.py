@@ -894,3 +894,39 @@ def test_console_script_entry_point(capsys):
                          capture_output=True, text=True, timeout=60)
     assert out.returncode == 0
     assert "two_point" in out.stdout
+
+
+def test_main_freezes_the_import_heap_and_keeps_the_collector():
+    # the freeze runs in a fresh process: main is that process's entry point
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = ("import contextlib, gc, io\n"
+            "from dfs_sense import cli\n"
+            "assert gc.get_freeze_count() == 0\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cli.main(['table1']) == 0\n"
+            "print(gc.get_freeze_count(), gc.isenabled())\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, timeout=60)
+    assert out.returncode == 0, out.stderr
+    frozen, enabled = out.stdout.split()
+    assert int(frozen) > 0 and enabled == "True"
+
+
+def test_console_script_names_cli_main():
+    # the freeze in cli.main reaches every installed CLI process only while
+    # the console script points at it
+    from pathlib import Path
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    try:
+        import tomllib
+    except ModuleNotFoundError:  # Python 3.10
+        assert 'dfs-sense = "dfs_sense.cli:main"' in text.splitlines()
+        return
+    assert tomllib.loads(text)["project"]["scripts"] == {
+        "dfs-sense": "dfs_sense.cli:main"}
