@@ -15,7 +15,6 @@ from .bayes import (AveragedState, CanonicalSampler, FlatPrior, GaussianPrior,
                     empirical_holevo, evolve, ghz_probe, holevo_variance,
                     qfi_mixed, qfi_pure, uniform_probe, variance_reduction,
                     wrap_pi)
-from .config import worker_count
 from .control import (EffectiveSpectrum, FlipSchedule, SpinConfig,
                       enumerate_dfs_configs, equalize_multidim,
                       flip_schedule_for, protected_spectrum,

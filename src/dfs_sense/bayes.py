@@ -432,7 +432,7 @@ class _GuidedInterp:
     knot). Where a slope np.interp can use is not finite, or fp holds -0.0,
     np.interp's end cases (exact-knot values, the NaN retry) can differ
     from that expression, so the call goes to np.interp itself. Read-only
-    after construction, so threads can share it.
+    after construction, so every chunk of a run reuses it.
     """
 
     def __init__(self, xp, fp):

@@ -6,9 +6,9 @@ CSV (default) or JSON via --format; CSV carries provenance as '# formula:'
 comment lines so every number can be traced to the expression that
 produced it.
 
-Exit codes: 0 success; 2 malformed scenario or usage; 3 infeasible request
-(no protected signal, insufficient time, unreachable target, oversize
-enumeration); 4 numeric failure.
+Exit codes: 0 success; 2 malformed scenario, usage or an --out path that
+cannot be written; 3 infeasible request (no protected signal, insufficient
+time, unreachable target, oversize enumeration); 4 numeric failure.
 """
 
 from __future__ import annotations
@@ -46,9 +46,10 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _emit(payload: dict, args) -> None:
-    """payload: {"comments": [...], "rows": [...], "meta": {...}} or
-    {"report": {...}} for protocol output."""
+def _emit(payload: dict, args) -> int:
+    """Write payload to --out or stdout and return the exit code: 2 when
+    --out cannot be written. payload: {"comments": [...], "rows": [...],
+    "meta": {...}} or {"report": {...}} for protocol output."""
     if args.format == "json":
         def coerce(o):
             if isinstance(o, np.integer):
@@ -58,7 +59,7 @@ def _emit(payload: dict, args) -> None:
             if isinstance(o, np.ndarray):
                 return o.tolist()
             return str(o)
-        text = json.dumps(payload, indent=2, default=coerce)
+        lines = [json.dumps(payload, indent=2, default=coerce)]
     else:
         lines = [f"# {c}" for c in payload.get("comments", [])]
         for k, v in payload.get("meta", {}).items():
@@ -69,12 +70,17 @@ def _emit(payload: dict, args) -> None:
             lines.append(",".join(cols))
             for r in rows:
                 lines.append(",".join(_fmt(r[c]) for c in cols))
-        text = "\n".join(lines) + "\n"
-    if args.out:
+    text = "\n".join(lines) + "\n"
+    if not args.out:
+        sys.stdout.write(text)
+        return 0
+    try:
         with open(args.out, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
-    else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+            fh.write(text)
+    except OSError as e:
+        print(f"cannot write output file: {e}", file=sys.stderr)
+        return 2
+    return 0
 
 
 def _require_scenario(args):
@@ -459,8 +465,7 @@ def main(argv=None) -> int:
     except _NUMERIC as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return 4
-    _emit(payload, args)
-    return 0
+    return _emit(payload, args)
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""Numeric thresholds, regime cut-offs, and worker-count resolution.
+"""Numeric thresholds and regime cut-offs.
 
 Each float cut-off that decides an exact condition of the schemes (rank,
 orthogonality, level equality, uniform spacing, density positivity), each
@@ -8,10 +8,6 @@ module constant, defined here once and read by the functions that apply it.
 """
 
 from __future__ import annotations
-
-import os
-
-THREADS_ENV_VAR = "DFS_SENSE_THREADS"
 
 # linear algebra
 RANK_RTOL = 1e-10            # Gram-Schmidt residual below rtol * |f_k| means f_k is dependent
@@ -51,21 +47,3 @@ SINE_BAND_HI = 1.0
 # enumeration guards
 ENUMERATION_GUARD = 2 ** 24
 PREDICTED_LEVEL_CAP = 2 ** 16  # longest closed-form ladder PlacementPlan.predicted_levels lists
-
-
-def worker_count() -> int:
-    """Resolve the Monte-Carlo worker count.
-
-    DFS_SENSE_THREADS caps the pool; unset falls back to the CPUs this
-    process may run on (os.sched_getaffinity where the platform has it, else
-    os.cpu_count()).
-    """
-    env = os.environ.get(THREADS_ENV_VAR, "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            return 1
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1

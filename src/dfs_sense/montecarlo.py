@@ -3,14 +3,12 @@
 Determinism policy: every simulation consumes randomness through
 counter-based Philox streams keyed by (seed, stream index). Trial batches
 are split into fixed 4096-trial chunks, each chunk owning the stream keyed
-by its index. A chunk reduces its per-trial columns to (n, mean, comoment),
-merged in chunk order (Chan, Golub & LeVeque, Am. Stat. 37, 1983): memory
-is flat in the trial count and the output bit-identical for a given seed
-at any worker thread count (DFS_SENSE_THREADS environment variable).
-The chunks run on the calling thread plus at most workers - 1 helper
-threads, never more threads than chunks. Each worker owns one generator
-and re-keys it in place to each chunk's stream (Salmon et al., SC'11):
-a counter-based stream starts from its key alone.
+by its index. The chunks run in order on the calling thread, and each
+reduces its per-trial columns to (n, mean, comoment), merged into the
+running record as it finishes (Chan, Golub & LeVeque, Am. Stat. 37, 1983):
+memory is flat in the trial count and the output is fixed by the seed. One
+generator is re-keyed in place to each chunk's stream (Salmon et al.,
+SC'11): a counter-based stream starts from its key alone.
 
 Estimation trials exploit covariance of the canonical measurement: the
 outcome density at true phase phi is the base density rigidly shifted by
@@ -21,14 +19,12 @@ from __future__ import annotations
 
 import ctypes
 import math
-import threading
-from functools import reduce
 
 import numpy as np
 
 from .bayes import (CanonicalSampler, FlatPrior, GaussianPrior, _GuidedInterp,
                     _moments, empirical_holevo, wrap_pi)
-from .config import TIME_SLACK, worker_count
+from .config import TIME_SLACK
 from .control import EffectiveSpectrum
 from .errors import InsufficientTime
 from .fields import _orthogonal
@@ -84,52 +80,29 @@ def _release_freed_heap() -> None:
     resident after they are freed; whether that happens turns on the heap's
     earlier history, down to the length of the install path. At L = 1024
     the resident set after variance_reduction's eigensolves is then 45 MB
-    instead of 35 MB, and the chunk threads' arenas and numpy.random's
-    first import (about 7 MB) would come on top of it.
+    instead of 35 MB, and numpy.random's first import would come on top of
+    it.
     """
     if _malloc_trim is not None:
         _malloc_trim(0)
 
 
 def _run_chunked(trials: int, seed: int, chunk_fn):
-    """Merged (n, mean, comoment) of the columns chunk_fn(rng, size, start) returns.
+    """Merged (n, mean, comoment) of the columns chunk_fn(rng, size) returns.
 
-    Chunk idx draws from the stream (seed, 2^32 + idx). The calling thread
-    and workers - 1 helpers take chunk indices from one shared iterator and
-    store each chunk's moments at its index; they are merged in chunk
-    order. The first exception a worker raises stops every worker at its
-    next chunk and is re-raised here.
+    Chunk idx draws from the stream (seed, 2^32 + idx); the chunks run in
+    order, each merged into the running record as it finishes.
     """
     if trials < MIN_TRIALS:
         raise ValueError(f"trials must be at least {MIN_TRIALS}")
     _release_freed_heap()
-    chunks = range(0, trials, _CHUNK)
-    records = [None] * len(chunks)
-    errors = []
-    todo = enumerate(chunks)  # next() on it runs under the GIL: no lock
-
-    def work():
-        try:
-            rng = _stream(seed, 0)  # re-keyed before every chunk
-            for idx, start in todo:
-                if errors:
-                    return
-                _rekey(rng, seed, (1 << 32) + idx)
-                records[idx] = _moments(
-                    chunk_fn(rng, min(_CHUNK, trials - start), start))
-        except BaseException as exc:  # re-raised in the caller
-            errors.append(exc)
-
-    helpers = [threading.Thread(target=work)
-               for _ in range(min(worker_count(), len(chunks)) - 1)]
-    for h in helpers:
-        h.start()
-    work()
-    for h in helpers:
-        h.join()
-    if errors:
-        raise errors[0]
-    return reduce(_merge, records)
+    rng = _stream(seed, 0)  # re-keyed before every chunk
+    merged = None
+    for idx, start in enumerate(range(0, trials, _CHUNK)):
+        _rekey(rng, seed, (1 << 32) + idx)
+        chunk = _moments(chunk_fn(rng, min(_CHUNK, trials - start)))
+        merged = chunk if merged is None else _merge(merged, chunk)
+    return merged
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +200,7 @@ def mc_dephase_check(channel: DephasingChannel, pairs, trials: int = 100_000,
     # proj[k, p] = f_k . (a_p - b_p), one vector dot each
     proj = np.array([[float(fv @ d) for d in ds] for fv in fvs])
 
-    def chunk_fn(rng, size, _start):
+    def chunk_fn(rng, size):
         total = np.zeros((len(ds), size))
         for a, sig, kind in zip(proj, channel.sigmas, channel.kinds):
             total += PHASE_LAWS[kind][1](rng, sig, size) * a[:, None]
@@ -340,7 +313,7 @@ def run_estimation_trials(probe_or_rho, spectrum: EffectiveSpectrum,
             resid[i:i + len(y)] = np.angle(np.exp(1j * y).sum(axis=1))
         return resid
 
-    def chunk_fn(rng, size, _start):
+    def chunk_fn(rng, size):
         # omega's offset in the prior window: the covariant measurement's
         # error does not depend on it, so its size doubles are skipped. Philox
         # makes 4 per counter step; on the chunk's new stream, advancing the
@@ -378,7 +351,7 @@ def simulate_fixed_time(probe_or_rho, spectrum: EffectiveSpectrum,
     posterior_mean = _GuidedInterp(sampler.knots,
                                    sampler.posterior_mean_table(prior, tg))
 
-    def chunk_fn(rng, size, _start):
+    def chunk_fn(rng, size):
         omega = rng.normal(prior.mean, prior.width, size)
         y = sampler.sample(rng, size)
         theta = np.mod(y + omega * tg, 2.0 * np.pi)
@@ -411,7 +384,7 @@ def simulate_adaptive(probe_or_rho, spectrum: EffectiveSpectrum,
     W0, lo0 = prior.width, prior.lower
     final_w = widths[-1]
 
-    def chunk_fn(rng, size, _start):
+    def chunk_fn(rng, size):
         omega = lo0 + rng.random(size) * W0
         lo = np.full(size, lo0)
         est = np.full(size, lo0)

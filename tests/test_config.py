@@ -1,30 +1,11 @@
-"""Worker-count resolution, and leftovers of refactors: each constant in
-config.py is read by the package, and each name a module imports is read by
-that module."""
+"""Leftovers of refactors: each constant in config.py is read by the
+package, each name a module imports is read by that module, and no module
+reads the environment."""
 
 import ast
-import os
 from pathlib import Path
 
 from dfs_sense import config
-
-
-def test_worker_count_defaults_to_the_cpus_this_process_may_run_on(monkeypatch):
-    monkeypatch.delenv(config.THREADS_ENV_VAR, raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: 8)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
-    assert config.worker_count() == 1
-    monkeypatch.setenv(config.THREADS_ENV_VAR, "3")
-    assert config.worker_count() == 3
-
-
-def test_worker_count_without_affinity_counts_cpus(monkeypatch):
-    monkeypatch.delenv(config.THREADS_ENV_VAR, raising=False)
-    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: 5)
-    assert config.worker_count() == 5
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert config.worker_count() == 1
 
 
 def _loads(tree: ast.AST) -> set[str]:
@@ -46,7 +27,7 @@ def test_every_config_constant_is_read():
     constants = {t.id for node in tree.body if isinstance(node, ast.Assign)
                  for t in node.targets
                  if isinstance(t, ast.Name) and t.id.isupper()}
-    assert "THREADS_ENV_VAR" in constants and "ORTHOGONALITY_RTOL" in constants
+    assert "ENUMERATION_GUARD" in constants and "ORTHOGONALITY_RTOL" in constants
     read = set()
     for path in package.glob("*.py"):
         read |= _loads(ast.parse(path.read_text()))
@@ -86,3 +67,21 @@ def test_every_import_is_read():
         if names:
             unread[path.name] = names
     assert unread == {}
+
+
+def test_no_module_reads_the_environment():
+    # every setting is a config constant or an argument: no environment
+    # variable changes what a command computes
+    package = Path(config.__file__).parent
+    readers = {}
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        names = {node.attr for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute)}
+        names |= {a.name for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom) and node.module == "os"
+                  for a in node.names}
+        found = names & {"environ", "environb", "getenv", "getenvb"}
+        if found:
+            readers[path.name] = sorted(found)
+    assert readers == {}

@@ -6,7 +6,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
-import types
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -200,15 +200,6 @@ def test_mc_dephase_check_pairs_share_one_draw():
     assert all(chk.analytic < 1.0 for chk in together[1:])
 
 
-def test_mc_dephase_check_bit_identical_across_threads(monkeypatch):
-    ch, pairs = _mixed_channel_pairs()
-    runs = []
-    for threads in ("1", "4"):
-        monkeypatch.setenv("DFS_SENSE_THREADS", threads)
-        runs.append(mc_dephase_check(ch, pairs, trials=20_000, seed=9))
-    assert runs[0] == runs[1]
-
-
 # ------------------------------------------------------- estimation trials
 
 def _simulations(trials, seed):
@@ -259,15 +250,6 @@ def test_one_sampler_and_one_coherence_pass_per_simulation(which, monkeypatch):
     assert (len(built), len(sums)) == (1, 1)
 
 
-def test_trials_bit_identical_across_threads(monkeypatch):
-    monkeypatch.setenv("DFS_SENSE_THREADS", "1")
-    one = _three_simulations(20_000, 7)
-    monkeypatch.setenv("DFS_SENSE_THREADS", "4")
-    four = _three_simulations(20_000, 7)
-    for a, b in zip(one, four):
-        assert a.to_dict() == b.to_dict()
-
-
 def _merged_moments(monkeypatch, run):
     """(n, mean bytes, comoment bytes) of the one _run_chunked pass run makes."""
     merged = []
@@ -284,19 +266,28 @@ def _merged_moments(monkeypatch, run):
 
 
 @pytest.mark.parametrize("which", ["flat", "fixed_time", "adaptive", "dephase"])
-def test_merged_moments_bit_identical_at_any_thread_count(which, monkeypatch):
+def test_merged_moments_follow_the_seed_alone(which, monkeypatch):
+    # the seed contract: chunk idx reads a new stream (seed, 2^32 + idx) and
+    # the chunk records merge in chunk order, whatever generator re-keying
+    # the engine does in between
     trials = 5 * montecarlo._CHUNK + 123  # six chunks, the last one short
     ch, pairs = _mixed_channel_pairs()
     runs = dict(_simulations(trials, 11),
                 dephase=lambda: mc_dephase_check(ch, pairs, trials=trials,
                                                  seed=11))
-    got = []
-    for threads in ("1", "2", "3", "4"):
-        monkeypatch.setenv("DFS_SENSE_THREADS", threads)
-        with monkeypatch.context() as m:
-            got.append(_merged_moments(m, runs[which]))
-    assert got[0][0] == trials
-    assert got[1:] == got[:1] * 3
+
+    def reference(trials, seed, chunk_fn):
+        return reduce(montecarlo._merge, (
+            _moments(chunk_fn(montecarlo._stream(seed, (1 << 32) + idx),
+                              min(montecarlo._CHUNK, trials - start)))
+            for idx, start in enumerate(range(0, trials, montecarlo._CHUNK))))
+
+    with monkeypatch.context() as m:
+        got = _merged_moments(m, runs[which])
+    with monkeypatch.context() as m:
+        m.setattr(montecarlo, "_run_chunked", reference)
+        want = _merged_moments(m, runs[which])
+    assert got[0] == trials and got == want
 
 
 def test_rekeyed_generator_matches_a_new_stream():
@@ -335,55 +326,38 @@ class _ChunkFailure(Exception):
     pass
 
 
-@pytest.mark.parametrize("threads", ["1", "4"])
-def test_chunk_exception_reaches_the_caller(threads, monkeypatch):
-    monkeypatch.setenv("DFS_SENSE_THREADS", threads)
-    raised, caught = [], []
+@pytest.mark.parametrize("failing", [1, 4])  # chunk index of 10
+def test_chunk_exception_reaches_the_caller(failing):
+    failure, calls = _ChunkFailure(), []
 
-    def chunk_fn(rng, size, start):
-        if start == 3 * montecarlo._CHUNK:  # chunk 3 of 10
-            raised.append(_ChunkFailure(start))
-            raise raised[-1]
+    def chunk_fn(rng, size):
+        calls.append(size)
+        if len(calls) == failing + 1:
+            raise failure
         return rng.random((2, size))
 
-    def call():
-        try:
-            montecarlo._run_chunked(10 * montecarlo._CHUNK, 0, chunk_fn)
-        except _ChunkFailure as exc:
-            caught.append(exc)
-
-    before = threading.active_count()
-    caller = threading.Thread(target=call, daemon=True)
-    caller.start()
-    caller.join(60)
-    assert not caller.is_alive(), "_run_chunked hung"
-    assert len(raised) == 1 and caught == raised
-    assert threading.active_count() == before
+    with pytest.raises(_ChunkFailure) as exc:
+        montecarlo._run_chunked(10 * montecarlo._CHUNK, 0, chunk_fn)
+    assert exc.value is failure and len(calls) == failing + 1  # no chunk after it
 
 
-@pytest.mark.parametrize("threads, chunks, helpers",
-                         [("1", 5, 0), ("4", 2, 1), ("4", 9, 3), ("3", 3, 2)])
-def test_helper_threads_never_outnumber_chunks(threads, chunks, helpers,
-                                               monkeypatch):
-    monkeypatch.setenv("DFS_SENSE_THREADS", threads)
+def test_simulation_starts_no_thread(monkeypatch):
+    # every chunk runs on the calling thread
     started = []
+    start = threading.Thread.start
 
-    class Counting(threading.Thread):
-        def start(self):
-            started.append(self)
-            super().start()
+    def counting(self):
+        started.append(self)
+        start(self)
 
-    monkeypatch.setattr(montecarlo, "threading",
-                        types.SimpleNamespace(Thread=Counting))
-    n, _, _ = montecarlo._run_chunked(chunks * montecarlo._CHUNK, 0,
-                                      lambda rng, size, _start: rng.random((1, size)))
-    assert n == chunks * montecarlo._CHUNK and len(started) == helpers
+    monkeypatch.setattr(threading.Thread, "start", counting)
+    _simulations(5 * montecarlo._CHUNK + 123, 0)["flat"]()  # six chunks
+    assert started == []
 
 
 def test_import_leaves_out_concurrent_futures():
-    # the chunk engine runs on plain threads: concurrent.futures (with the
-    # logging, queue and traceback modules it imports) stays out of every
-    # dfs-sense process
+    # concurrent.futures (with the logging, queue and traceback modules it
+    # imports) stays out of every dfs-sense process
     src = Path(montecarlo.__file__).resolve().parent.parent
     code = ("import sys; import dfs_sense; from dfs_sense import cli; "
             "cli.build_parser(); print(sorted(m for m in sys.modules "
@@ -412,24 +386,26 @@ def test_merge_matches_moments_of_joined_columns():
 
 
 def _record_chunks(monkeypatch):
-    """Wrap montecarlo._run_chunked to keep each chunk's columns by start;
-    the returned function joins them in trial order, one row per column."""
-    chunks = {}
+    """Wrap montecarlo._run_chunked to keep the columns of its last run's
+    chunks in call order, which is trial order; the returned function joins
+    them, one row per column."""
+    chunks = []
     run = montecarlo._run_chunked
 
     def recording(trials, seed, chunk_fn):
-        def keep(rng, size, start):
-            chunks[start] = np.vstack(chunk_fn(rng, size, start))
-            return chunks[start]
+        chunks.clear()
+
+        def keep(rng, size):
+            chunks.append(np.vstack(chunk_fn(rng, size)))
+            return chunks[-1]
         return run(trials, seed, keep)
 
     monkeypatch.setattr(montecarlo, "_run_chunked", recording)
-    return lambda: np.hstack([chunks[k] for k in sorted(chunks)])
+    return lambda: np.hstack(chunks)
 
 
 @pytest.mark.parametrize("nu", [1, 3])
 def test_merged_summary_matches_records(nu, monkeypatch):
-    monkeypatch.setenv("DFS_SENSE_THREADS", "2")
     columns = _record_chunks(monkeypatch)
     sp = _linear(5, 4.0)
     t = 1.3
@@ -476,8 +452,7 @@ def test_summary_memory_flat_in_trials():
         assert peak < 16 * 2 ** 20
 
 
-def test_repeat_memory_flat_in_nu(monkeypatch):
-    monkeypatch.setenv("DFS_SENSE_THREADS", "1")
+def test_repeat_memory_flat_in_nu():
     sp = _linear(5, 4.0)
     p = berry_wiseman_probe(5)
     tracemalloc.start()
@@ -524,8 +499,7 @@ def test_trial_count_checked_before_chunks(which, trials, monkeypatch):
                               trials=trials, seed=0)
 
 
-def test_two_trials_give_finite_stderrs(monkeypatch):
-    monkeypatch.setenv("DFS_SENSE_THREADS", "1")
+def test_two_trials_give_finite_stderrs():
     for out in _three_simulations(2, 0):
         assert out.trials == 2
         assert math.isfinite(out.mse_stderr)

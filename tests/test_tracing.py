@@ -75,7 +75,7 @@ def _traced_run(tmp_path: Path, argv: list[str], doc: dict) -> dict:
         "op": {"kind": "cli", "argv": argv + [
             "--scenario", str(scenario), "--format", "json",
             "--out", str(tmp_path / "out.json")]}}))
-    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", DFS_SENSE_THREADS="2")
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run([sys.executable, str(CHILD), str(request), str(result)],
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
