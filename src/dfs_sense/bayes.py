@@ -16,6 +16,7 @@ accumulated phase per unit level index directly.
 from __future__ import annotations
 
 import math
+from typing import Protocol
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -26,6 +27,13 @@ from .config import (HERMITIAN_RTOL, NORM_ATOL, PHASE_GRID_BITS,
 from .control import EffectiveSpectrum
 from .errors import Degenerate, InvalidState, NumericFailure
 from .records import record
+
+
+class UniformSource(Protocol):
+    """What CanonicalSampler.sample draws from: random(size) returns doubles
+    in [0, 1) of that shape (a montecarlo stream, or a numpy Generator)."""
+
+    def random(self, size: int | tuple[int, ...]) -> np.ndarray: ...
 
 
 @record
@@ -499,7 +507,7 @@ class CanonicalSampler:
         self.knots = np.concatenate((self.thetas, [2.0 * np.pi]))
         self._inverse_cdf = _GuidedInterp(cdf, self.knots)
 
-    def sample(self, rng: np.random.Generator, size: int,
+    def sample(self, rng: UniformSource, size: int | tuple[int, ...],
                shift: float | np.ndarray = 0.0) -> np.ndarray:
         """Draw outcomes in [0, 2pi), optionally shifted by the true phase."""
         base = self._inverse_cdf(rng.random(size))

@@ -27,7 +27,8 @@ from .control import enumerate_dfs_configs  # noqa: F401  perfbench/child.py wra
 from .errors import (Degenerate, InsufficientTime, InvalidState,
                      NoSignalComponent, NotLinear, NumericFailure,
                      ScenarioError, TooLarge, Unreachable)
-from .montecarlo import MIN_TRIALS, dephase_coherence, mc_dephase_check
+from .montecarlo import (MIN_TRIALS, SEED_BOUND, dephase_coherence,
+                         mc_dephase_check)
 from .placement import table_rows
 from .protocols import (ProtocolReport, fixed_time_single_shot, ghz_reduction,
                         single_shot_flat)
@@ -388,12 +389,15 @@ def _contrast_config(built, anchor):
 # wiring
 # ---------------------------------------------------------------------------
 
-def _at_least(minimum: int):
-    """An argparse type: an integer >= minimum, else a usage error."""
+def _at_least(minimum: int, below: int | None = None):
+    """An argparse type: an integer >= minimum (and < below, if given), else
+    a usage error."""
     def integer(text: str) -> int:  # argparse names this type in its errors
         value = int(text)
         if value < minimum:
             raise argparse.ArgumentTypeError(f"must be an integer >= {minimum}")
+        if below is not None and value >= below:
+            raise argparse.ArgumentTypeError(f"must be an integer < {below}")
         return value
     return integer
 
@@ -404,7 +408,7 @@ _FLAGS = {
                        help="attach Monte-Carlo trials to the report"),
     "--trials": dict(type=_at_least(MIN_TRIALS), default=None,
                      help="override the scenario's trial count"),
-    "--seed": dict(type=_at_least(0), default=None,
+    "--seed": dict(type=_at_least(0, SEED_BOUND), default=None,
                    help="override the scenario's seed"),
 }
 

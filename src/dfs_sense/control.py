@@ -173,45 +173,51 @@ class EffectiveSpectrum:
         return cls(levels, None if configs is None else tuple(configs[i] for i in first))
 
 
-def _merge_levels(values: list[Number]) -> tuple[tuple[Number, ...], list[int]]:
+def _merge_levels(values: Sequence[Number] | np.ndarray
+                  ) -> tuple[tuple[Number, ...], list[int]]:
     """Ascending distinct levels and, per level, the position of the first
     value merged into it. Sorted values merge into the level of the smallest
     one when equal (exact values) or within LEVEL_MERGE_RTOL * range (floats:
-    fl[j] - fl[start] <= tol, anchored at the level's smallest value)."""
-    fl = [float(v) for v in values]
-    if _exactable(*values):
+    fl[j] - fl[start] <= tol, anchored at the level's smallest value).
+
+    Values are exact when numpy reads them as no float array and every one
+    is an int or Fraction; exact levels are the given values, float levels
+    Python floats."""
+    fa = np.asarray(values)
+    if fa.size == 0:
+        return (), []
+    if fa.dtype.kind != "f" and _exactable(*values):
         starts: list[int] = []
         first: list[int] = []
-        for i in np.argsort(fl, kind="stable").tolist():
+        for i in np.argsort(fa.astype(float), kind="stable").tolist():
             if starts and values[i] == values[starts[-1]]:
                 first[-1] = min(first[-1], i)
             else:
                 starts.append(i)
                 first.append(i)
         return tuple(values[i] for i in starts), first
-    tol = LEVEL_MERGE_RTOL * (max(fl) - min(fl))
-    fa = np.asarray(fl)
+    fa = fa.astype(float, copy=False)
     order = np.argsort(fa, kind="stable")
     srt = fa[order]
-    vals = srt.tolist()
+    tol = LEVEL_MERGE_RTOL * (srt[-1] - srt[0])
     # a gap above tol to the previous sorted value starts a level, since the
     # start-anchored difference is at least that gap; inside a run of closer
-    # values the next start after p is the first j with vals[j] - vals[p] >
+    # values the next start after p is the first j with srt[j] - srt[p] >
     # tol, monotone in j: bracketed by doubling steps from p, then bisected
     with np.errstate(invalid="ignore"):  # inf - inf is nan, as in Python
         breaks = np.flatnonzero(np.diff(srt) > tol) + 1
-    edges = [0, *breaks.tolist(), len(vals)]
+    edges = [0, *breaks.tolist(), len(srt)]
     pos = []  # sorted positions where a level starts
     for p, end in zip(edges, edges[1:]):
         pos.append(p)
         while end - p > 1:
             lo = hi = p + 1
-            while hi < end and vals[hi] - vals[p] <= tol:
+            while hi < end and srt[hi] - srt[p] <= tol:
                 lo, hi = hi + 1, p + 2 * (hi - p)
             hi = min(hi, end)
             while lo < hi:
                 mid = (lo + hi) // 2
-                if vals[mid] - vals[p] <= tol:
+                if srt[mid] - srt[p] <= tol:
                     lo = mid + 1
                 else:
                     hi = mid
@@ -220,7 +226,7 @@ def _merge_levels(values: list[Number]) -> tuple[tuple[Number, ...], list[int]]:
             pos.append(lo)
             p = lo
     first = np.minimum.reduceat(order, pos).tolist()
-    return tuple(values[i] for i in order[pos].tolist()), first
+    return tuple(srt[pos].tolist()), first
 
 
 def sign_matched_anchor(array: SensorArray, f_perp: SpatialField) -> SpinConfig:
@@ -312,8 +318,7 @@ def protected_spectrum(array: SensorArray, noise: NoiseModel, signal: SpatialFie
     lexicographically, so each level reports its lexicographically first
     configuration, and only those L are built."""
     rows = _dfs_rows(array, noise, sign_matched_anchor(array, f_perp))
-    values = np.vecdot(_spins(array, rows), signal.vector).tolist()
-    levels, first = _merge_levels(values)
+    levels, first = _merge_levels(np.vecdot(_spins(array, rows), signal.vector))
     return EffectiveSpectrum(levels, tuple(_spin_configs(array, rows[first])))
 
 

@@ -1,14 +1,15 @@
 """Stochastic checks: dephasing damping and estimation-error trials.
 
 Determinism policy: every simulation consumes randomness through
-counter-based Philox streams keyed by (seed, stream index). Trial batches
-are split into fixed 4096-trial chunks, each chunk owning the stream keyed
-by its index. The chunks run in order on the calling thread, and each
-reduces its per-trial columns to (n, mean, comoment), merged into the
-running record as it finishes (Chan, Golub & LeVeque, Am. Stat. 37, 1983):
-memory is flat in the trial count and the output is fixed by the seed. One
-generator is re-keyed in place to each chunk's stream (Salmon et al.,
-SC'11): a counter-based stream starts from its key alone.
+counter-based streams keyed by (seed, stream index). Trial batches are
+split into fixed 4096-trial chunks, each chunk owning the stream keyed by
+its index. The chunks run in order on the calling thread, and each reduces
+its per-trial columns to (n, mean, comoment), merged into the running
+record as it finishes (Chan, Golub & LeVeque, Am. Stat. 37, 1983): memory
+is flat in the trial count and the output is fixed by the seed. A stream
+is SplitMix64 (Steele, Lea & Flood, OOPSLA 2014): draw i is a hash of the
+key and the counter i alone (Salmon et al., SC'11), a few numpy uint64
+passes, so no generator library is imported.
 
 Estimation trials exploit covariance of the canonical measurement: the
 outcome density at true phase phi is the base density rigidly shifted by
@@ -32,29 +33,83 @@ from .records import factory, record
 
 _CHUNK = 4096
 _MASK64 = (1 << 64) - 1
+SEED_BOUND = 1 << 64  # a seed is a 64-bit key: 0 <= seed < SEED_BOUND
 MIN_TRIALS = 2  # a standard error needs two trials
 _DRAW_BLOCK = 1 << 16  # repeat outcomes drawn at once, so memory is flat in nu
+_GOLDEN_GAMMA = 0x9E3779B97F4A7C15  # odd integer nearest 2^64 / golden ratio
 
 
-def _stream(seed: int, index: int) -> np.random.Generator:
-    """A new generator at the start of the Philox stream keyed by (seed, index)."""
-    key = np.array([seed & _MASK64, index & _MASK64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+def _mix64(z: np.ndarray) -> np.ndarray:
+    """SplitMix64's output finalizer (Stafford's variant 13), in place on uint64 z."""
+    z ^= z >> 30
+    z *= 0xBF58476D1CE4E5B9
+    z ^= z >> 27
+    z *= 0x94D049BB133111EB
+    z ^= z >> 31
+    return z
 
 
-def _rekey(rng: np.random.Generator, seed: int, index: int) -> None:
-    """Move rng in place to where _stream(seed, index) starts.
+def _mix_gamma(z: int) -> int:
+    """SplittableRandom's increment from a state: the MurmurHash3 finalizer,
+    forced odd, with alternate bits flipped when it has few bit transitions."""
+    z = (z ^ (z >> 33)) * 0xFF51AFD7ED558CCD & _MASK64
+    z = (z ^ (z >> 33)) * 0xC4CEB9FE1A85EC53 & _MASK64
+    z = (z ^ (z >> 33)) | 1
+    return z ^ 0xAAAAAAAAAAAAAAAA if (z ^ (z >> 1)).bit_count() < 24 else z
 
-    Key (seed, index), counter 0, empty output buffer, no cached uint32:
-    the whole state of a new Philox, without the OS-entropy SeedSequence
-    that Philox(key=...) builds and the key then overrides.
+
+class _SplitMix64:
+    """The SplitMix64 stream from start k with odd increment gamma.
+
+    Draw i (from 0) is mix64(k + (i + 1) gamma) mod 2^64, a function of i
+    alone; a double is its top 53 bits times 2^-53, in [0, 1). The stream
+    answers the three calls the Monte-Carlo kernels make.
     """
-    rng.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": (0, 0, 0, 0),
-                  "key": (seed & _MASK64, index & _MASK64)},
-        "buffer": (0, 0, 0, 0), "buffer_pos": 4,
-        "has_uint32": 0, "uinteger": 0}
+
+    def __init__(self, start: int, gamma: int):
+        self._start = np.uint64(start)
+        self._gamma = np.uint64(gamma)
+        self._drawn = 0
+
+    def _words(self, n: int) -> np.ndarray:
+        """The next n 64-bit outputs."""
+        z = np.arange(self._drawn + 1, self._drawn + n + 1, dtype=np.uint64)
+        z *= self._gamma
+        z += self._start
+        self._drawn += n
+        return _mix64(z)
+
+    def random(self, size: int | tuple[int, ...]) -> np.ndarray:
+        """Doubles in [0, 1) on the 2^-53 grid, of shape size, row-major."""
+        n = math.prod(size) if isinstance(size, tuple) else size
+        x = (self._words(n) >> 11).astype(float)
+        x *= 2.0 ** -53
+        return x.reshape(size)
+
+    def uniform(self, low: float, high: float, n: int) -> np.ndarray:
+        return low + (high - low) * self.random(n)
+
+    def normal(self, loc: float, scale: float, n: int) -> np.ndarray:
+        """Box-Muller on ceil(n/2) pairs of doubles (u, v): radii from the
+        first half, angles from the second, cosines then sines. 1 - u is
+        never 0, so log1p(-u) is finite."""
+        m = (n + 1) // 2
+        u = self.random(2 * m)
+        r = np.sqrt(-2.0 * np.log1p(-u[:m]))
+        angle = 2.0 * np.pi * u[m:]
+        z = np.concatenate((r * np.cos(angle), r * np.sin(angle)))[:n]
+        return loc + scale * z
+
+
+def _stream(seed: int, index: int) -> _SplitMix64:
+    """The stream keyed by (seed, index): the child that split number index
+    (from 0) of Java's SplittableRandom(seed) returns. The parent state
+    before that split is seed + 2 index gamma0 (gamma0 the golden gamma);
+    the child starts at mix64 of the next state, with the increment
+    _mix_gamma of the one after."""
+    state = seed + 2 * index * _GOLDEN_GAMMA
+    start = _mix64(np.array([(state + _GOLDEN_GAMMA) & _MASK64], dtype=np.uint64))
+    return _SplitMix64(int(start[0]), _mix_gamma((state + 2 * _GOLDEN_GAMMA) & _MASK64))
 
 
 def _merge(a, b):
@@ -80,7 +135,7 @@ def _release_freed_heap() -> None:
     resident after they are freed; whether that happens turns on the heap's
     earlier history, down to the length of the install path. At L = 1024
     the resident set after variance_reduction's eigensolves is then 45 MB
-    instead of 35 MB, and numpy.random's first import would come on top of
+    instead of 35 MB, and the chunks' own allocations would come on top of
     it.
     """
     if _malloc_trim is not None:
@@ -91,15 +146,17 @@ def _run_chunked(trials: int, seed: int, chunk_fn):
     """Merged (n, mean, comoment) of the columns chunk_fn(rng, size) returns.
 
     Chunk idx draws from the stream (seed, 2^32 + idx); the chunks run in
-    order, each merged into the running record as it finishes.
+    order, each merged into the running record as it finishes. The seed
+    must lie in [0, SEED_BOUND): a larger one would alias seed mod 2^64.
     """
     if trials < MIN_TRIALS:
         raise ValueError(f"trials must be at least {MIN_TRIALS}")
+    if not 0 <= seed < SEED_BOUND:
+        raise ValueError("seed must lie in [0, 2^64)")
     _release_freed_heap()
-    rng = _stream(seed, 0)  # re-keyed before every chunk
     merged = None
     for idx, start in enumerate(range(0, trials, _CHUNK)):
-        _rekey(rng, seed, (1 << 32) + idx)
+        rng = _stream(seed, (1 << 32) + idx)
         chunk = _moments(chunk_fn(rng, min(_CHUNK, trials - start)))
         merged = chunk if merged is None else _merge(merged, chunk)
     return merged
@@ -314,13 +371,8 @@ def run_estimation_trials(probe_or_rho, spectrum: EffectiveSpectrum,
         return resid
 
     def chunk_fn(rng, size):
-        # omega's offset in the prior window: the covariant measurement's
-        # error does not depend on it, so its size doubles are skipped. Philox
-        # makes 4 per counter step; on the chunk's new stream, advancing the
-        # counter by size // 4 and drawing the size % 4 left over leaves the
-        # stream where drawing all of them would
-        rng.bit_generator.advance(size // 4)
-        rng.random(size % 4)
+        # omega's offset in the prior window is never drawn: the covariant
+        # measurement's error does not depend on it
         resid = shots(rng, size)
         err = resid / tg
         return err * err, np.cos(resid), np.sin(resid), resid ** 2

@@ -30,7 +30,7 @@ from .control import EffectiveSpectrum, protected_spectrum
 from .control import enumerate_dfs_configs  # noqa: F401  perfbench/child.py wraps this name
 from .errors import ScenarioError
 from .fields import NoiseModel, SensorArray, SpatialField, orthogonal_complement, sample_field
-from .montecarlo import MIN_TRIALS, PHASE_LAWS, DephasingChannel
+from .montecarlo import MIN_TRIALS, PHASE_LAWS, SEED_BOUND, DephasingChannel
 from .placement import FAMILIES, PlacementPlan
 from . import protocols
 from .records import record
@@ -322,8 +322,8 @@ def parse_scenario(doc) -> Scenario:
     protocol = _parse_protocol(_need(doc, "protocol", ""), "protocol")
     seed = doc.get("seed", 0)
     trials = doc.get("trials", 100_000)
-    if not _is_int(seed) or seed < 0:
-        raise ScenarioError("seed must be a nonnegative integer", "seed")
+    if not _is_int(seed) or not 0 <= seed < SEED_BOUND:
+        raise ScenarioError("seed must be an integer in [0, 2^64)", "seed")
     if not _is_int(trials) or trials < MIN_TRIALS:
         raise ScenarioError(f"trials must be an integer >= {MIN_TRIALS}",
                             "trials")

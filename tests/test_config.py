@@ -85,3 +85,35 @@ def test_no_module_reads_the_environment():
         if found:
             readers[path.name] = sorted(found)
     assert readers == {}
+
+
+def _numpy_random_uses(tree: ast.AST) -> list[int]:
+    """Lines that import numpy.random or read np.random / numpy.random."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            hit = any(a.name.startswith("numpy.random") for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            hit = (node.module or "").startswith("numpy.random") or (
+                node.module == "numpy"
+                and any(a.name == "random" for a in node.names))
+        else:
+            hit = (isinstance(node, ast.Attribute) and node.attr == "random"
+                   and isinstance(node.value, ast.Name)
+                   and node.value.id in ("np", "numpy"))
+        if hit:
+            lines.append(node.lineno)
+    return lines
+
+
+def test_no_module_reaches_numpy_random():
+    # the Monte-Carlo streams are montecarlo's own: importing numpy.random
+    # costs every process that draws about 6 MB and 10 ms
+    sample = ("import numpy as np\nfrom numpy import random\n"
+              "import numpy.random as npr\nx = np.random.default_rng\n"
+              "y = rng.random(3)\n")
+    assert _numpy_random_uses(ast.parse(sample)) == [2, 3, 4]
+    package = Path(config.__file__).parent
+    uses = {path.name: found for path in sorted(package.glob("*.py"))
+            if (found := _numpy_random_uses(ast.parse(path.read_text())))}
+    assert uses == {}

@@ -153,6 +153,23 @@ def test_merge_levels_equals_loop_on_protected_values(J, quanta, K):
     assert control._merge_levels(values) == _merge_levels_loop(values)
 
 
+@pytest.mark.parametrize("J, quanta, K", [(9, 2, 2), (17, 2, 1), (6, 3, 2)])
+def test_merge_levels_takes_a_float_array_as_floats(J, quanta, K, monkeypatch):
+    # a float array is float by its dtype: no per-value exactness test, the
+    # same levels and positions as its list, and the levels Python floats
+    values = _protected_values(J, quanta, _NOISE_2[:K])
+    want = _merge_levels_loop(values)
+
+    def no_scan(*values):
+        raise AssertionError("exactness tested value by value")
+    monkeypatch.setattr(control, "_exactable", no_scan)
+    levels, first = control._merge_levels(np.array(values))
+    assert (levels, first) == want
+    assert {type(v) for v in levels} == {float}
+    with pytest.raises(ValueError, match="at least one level"):
+        EffectiveSpectrum.from_levels(np.array([]))
+
+
 def test_merge_levels_equals_loop_on_random_floats_with_ties():
     rng = np.random.default_rng(7)
     for n in (1, 2, 3, 10, 100, 1000):

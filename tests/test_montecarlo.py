@@ -290,38 +290,6 @@ def test_merged_moments_follow_the_seed_alone(which, monkeypatch):
     assert got[0] == trials and got == want
 
 
-def test_rekeyed_generator_matches_a_new_stream():
-    draws = (lambda g: g.random(7), lambda g: g.normal(0.5, 2.0, 9),
-             lambda g: g.uniform(-1.0, 2.0, 5),
-             lambda g: g.integers(0, 2 ** 31, 3, dtype=np.uint32))
-    for seed, index in ((5, 1 << 32), (-1, (1 << 32) + 7),
-                        (2 ** 64 - 1, 2 ** 64 - 1)):
-        rng = montecarlo._stream(3, 0)
-        # a chunk that left its buffer partly used and a uint32 cached
-        rng.integers(0, 2 ** 32, 1, dtype=np.uint32)
-        rng.random(2)
-        state = rng.bit_generator.state
-        assert state["buffer_pos"] == 3 and state["has_uint32"] == 1
-        for _ in range(2):  # then once more, after the draws below
-            montecarlo._rekey(rng, seed, index)
-            new = montecarlo._stream(seed, index)
-            for draw in draws:
-                assert draw(rng).tobytes() == draw(new).tobytes()
-
-
-@pytest.mark.parametrize("size", [*range(1, 10), 4095, 4096])
-def test_advance_skips_like_discarded_doubles(size):
-    drawn = montecarlo._stream(9, 1 << 32)
-    drawn.random(size)
-    skipped = montecarlo._stream(4, 0)
-    skipped.random(5)
-    montecarlo._rekey(skipped, 9, 1 << 32)
-    skipped.bit_generator.advance(size // 4)
-    skipped.random(size % 4)
-    for draw in (lambda g: g.random(13), lambda g: g.normal(size=6)):
-        assert draw(drawn).tobytes() == draw(skipped).tobytes()
-
-
 class _ChunkFailure(Exception):
     pass
 

@@ -170,6 +170,8 @@ def test_protocol_kind_rejects_the_other_prior(kind):
     (lambda d: d.update(protocol={"kind": "fixed_time"}), "'t'"),
     (lambda d: d.update(protocol={"kind": "repeat"}), "'total_time'"),
     (lambda d: d.update(seed=-1), "seed"),
+    pytest.param(lambda d: d.update(seed=2 ** 64), "seed",
+                 id="<lambda>-seed-2^64"),
     (lambda d: d.update(trials=0), "trials"),
     pytest.param(lambda d: d.update(trials=1), "trials",
                  id="<lambda>-trials-one"),
@@ -587,6 +589,8 @@ def test_cli_table1_oversize_exponential_is_infeasible(capsys):
     ["protocol", "--seed", "-1"],
     ["dfs-check", "--trials", "1"],
     ["dfs-check", "--seed", "-3"],
+    ["protocol", "--simulate", "--seed", str(2 ** 64)],
+    ["dfs-check", "--seed", str(2 ** 64 + 5)],
 ])
 def test_cli_trials_and_seed_bounds_are_usage_errors(argv, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
