@@ -400,9 +400,12 @@ def _coherence_sums(amplitudes_or_rho) -> np.ndarray:
     return np.array([np.trace(x, offset=-d) for d in range(x.shape[0])])
 
 
-def _fourier_grid(coeffs: np.ndarray, n: int) -> np.ndarray:
-    """Re(a_0 + 2 sum_{d>=1} a_d e^{2 pi i d k/n}), k < n, by one inverse FFT."""
-    return n * np.fft.irfft(coeffs, n)
+def _fourier_grid(coeffs: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Re(a_0 + 2 sum_{d>=1} a_d e^{2 pi i d k/n}), k < n, by one inverse FFT
+    (written into out when given)."""
+    out = np.fft.irfft(coeffs, n, out=out)
+    out *= n
+    return out
 
 
 def _phase_grid_size(L: int) -> int:
@@ -447,15 +450,25 @@ class _GuidedInterp:
         xp = np.asarray(xp, dtype=float)
         fp = np.asarray(fp, dtype=float)
         self._scale = (len(xp) - 1) / xp[-1]
-        counts = np.bincount((xp * self._scale).astype(np.intp))
-        self._guide = np.maximum(np.cumsum(counts) - counts - 1, 0)
+        # bucket indices, truncated as astype(intp) truncates
+        counts = np.bincount(np.multiply(xp, self._scale, casting="unsafe",
+                                         out=np.empty(len(xp), np.intp)))
+        guide = self._guide = np.cumsum(counts)
+        guide -= counts
+        guide -= 1
+        np.maximum(guide, 0, out=guide)
+        del counts
         # xp[j + 1] for every j, +inf after the last knot
-        padded = np.append(xp, np.inf)
+        padded = np.empty(len(xp) + 1)
+        padded[:-1] = xp
+        padded[-1] = np.inf
         self._xp, self._next = padded[:-1], padded[1:]
         dx = np.diff(xp)
+        rising = dx > 0
         # slopes between repeated knots are never used, as in np.interp
-        self._slopes = np.zeros(len(xp))
-        np.divide(np.diff(fp), dx, out=self._slopes[:-1], where=dx > 0)
+        slopes = self._slopes = np.zeros(len(xp))
+        np.subtract(fp[1:], fp[:-1], out=slopes[:-1], where=rising)
+        np.divide(slopes[:-1], dx, out=slopes[:-1], where=rising)
         self._fp = fp
         self._plain = bool(np.isfinite(self._slopes).all()
                            and not np.any(np.signbit(fp) & (fp == 0.0)))
@@ -484,28 +497,39 @@ class CanonicalSampler:
     knots, looked up through a guide table (_GuidedInterp). Because the
     density under a phase shift phi is the base density rigidly shifted,
     one sampler serves every true phase: draw from the base density and add
-    phi modulo 2pi. knots are thetas followed by the wrap point 2pi.
+    phi modulo 2pi. knots are thetas followed by the wrap point 2pi, and
+    thetas is a view of them. Each table is built in place, so the sampler
+    keeps four grid-length arrays: knots, and the lookup's padded CDF (of
+    which _cdf is a view), guide and slopes.
     """
 
     def __init__(self, probe_or_rho):
         x = probe_or_rho.vector if isinstance(probe_or_rho, ProbeState) else probe_or_rho
         r = self.coherence_sums = _coherence_sums(x)
         n = _phase_grid_size(len(r))
-        self.thetas = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
-        p = np.clip(_fourier_grid(r, n), 0.0, None) / (2.0 * np.pi)
-        h = 2.0 * np.pi / n
+        self.knots = np.linspace(0.0, 2.0 * np.pi, n + 1)
+        self.thetas = self.knots[:-1]
+        p = _fourier_grid(r, n)
+        np.clip(p, 0.0, None, out=p)
+        p /= 2.0 * np.pi
         # trapezoid masses per cell [theta_i, theta_{i+1}), wrapping at 2pi
-        p_next = np.roll(p, -1)
-        masses = 0.5 * (p + p_next) * h
+        masses = np.empty(n)
+        np.add(p[:-1], p[1:], out=masses[:-1])
+        masses[-1] = p[-1] + p[0]
+        del p
+        masses *= 0.5
+        masses *= 2.0 * np.pi / n
         total = float(masses.sum())
         if not np.isfinite(total) or abs(total - 1.0) > SAMPLER_NORM_ATOL:
             raise NumericFailure(f"density normalization off by {abs(total - 1.0):.2e}")
         self.norm_error = abs(total - 1.0)
-        cdf = np.concatenate(([0.0], np.cumsum(masses)))
+        cdf = np.empty(n + 1)
+        cdf[0] = 0.0
+        np.cumsum(masses, out=cdf[1:])
+        del masses
         cdf /= cdf[-1]
-        self._cdf = cdf
-        self.knots = np.concatenate((self.thetas, [2.0 * np.pi]))
         self._inverse_cdf = _GuidedInterp(cdf, self.knots)
+        self._cdf = self._inverse_cdf._xp
 
     def sample(self, rng: UniformSource, size: int | tuple[int, ...],
                shift: float | np.ndarray = 0.0) -> np.ndarray:
@@ -531,13 +555,15 @@ class CanonicalSampler:
         a = r * np.exp(-1j * d * tg * prior.mean - 0.5 * (d * tg * prior.width) ** 2)
         n = len(self.thetas)
         den = _fourier_grid(a, n)
-        num = _fourier_grid(a * (prior.mean - 1j * d * tg * prior.width ** 2), n)
         # round-off floor POSTERIOR_FLOOR_RTOL sum|a_d|: FFT round-off in D stays
         # below 1e-14 sum|a_d| on every grid used, so a smaller margin is noise
         if den.min() <= POSTERIOR_FLOOR_RTOL * np.abs(a).sum():
             raise NumericFailure("posterior normalization not above its round-off floor")
-        table = num / den
-        return np.append(table, table[0])
+        table = np.empty(n + 1)
+        _fourier_grid(a * (prior.mean - 1j * d * tg * prior.width ** 2), n, out=table[:n])
+        table[:n] /= den
+        table[n] = table[0]
+        return table
 
 
 def analytic_sharpness(amplitudes_or_rho) -> float:

@@ -92,13 +92,24 @@ class _SplitMix64:
     def normal(self, loc: float, scale: float, n: int) -> np.ndarray:
         """Box-Muller on ceil(n/2) pairs of doubles (u, v): radii from the
         first half, angles from the second, cosines then sines. 1 - u is
-        never 0, so log1p(-u) is finite."""
+        never 0, so log1p(-u) is finite. Radii and angles overwrite u."""
         m = (n + 1) // 2
         u = self.random(2 * m)
-        r = np.sqrt(-2.0 * np.log1p(-u[:m]))
-        angle = 2.0 * np.pi * u[m:]
-        z = np.concatenate((r * np.cos(angle), r * np.sin(angle)))[:n]
-        return loc + scale * z
+        r, angle = u[:m], u[m:]
+        np.negative(r, out=r)
+        np.log1p(r, out=r)
+        r *= -2.0
+        np.sqrt(r, out=r)
+        angle *= 2.0 * np.pi
+        z = np.empty(2 * m)
+        np.cos(angle, out=z[:m])
+        np.sin(angle, out=z[m:])
+        z[:m] *= r
+        z[m:] *= r
+        z = z[:n]
+        z *= scale
+        z += loc
+        return z
 
 
 def _stream(seed: int, index: int) -> _SplitMix64:

@@ -5,9 +5,12 @@
 
 The invocations are the distinct CLI operations of perfbench/workloads.py
 (its scenario documents, read as they are) at seeds 0-4, each with
-``--format csv`` and ``--format json``, plus ``table1`` in both formats. Each
-runs in this process through ``dfs_sense.cli.main``; its digest covers the
-exit code, stdout and stderr. Operations that re-run another one's argv
+``--format csv`` and ``--format json``, plus ``table1`` in both formats. The
+``sweep --axis L`` and ``--axis Delta`` of mc-narrow's flat and fixed-time
+documents run at the same seeds and formats, and ``sweep --axis N`` (which
+reads no scenario) once per format. Each runs in this process through
+``dfs_sense.cli.main``; its digest covers the exit code, stdout and
+stderr. Operations that re-run another one's argv
 (``same_as``) and library calls (``placement``) are left out.
 
 The digests depend on numpy's floating point (eigh, FFT and the BLAS
@@ -33,6 +36,10 @@ ROOT = Path(__file__).resolve().parent.parent
 MAP_PATH = Path(__file__).resolve().parent / "golden_corpus.json"
 SEEDS = range(5)
 FORMATS = ("csv", "json")
+# the L and Delta sweeps run on mc-narrow's flat and fixed-time documents
+SWEPT = {("mc-narrow", "ssf-1e6"), ("mc-narrow", "fixed-time")}
+SWEEP_GRIDS = {"L": "2:128:8", "Delta": "0.5:4:8"}
+SWEEP_N = ("sweep", "--axis", "N", "--grid", "4:20:9")
 
 
 def _workloads():
@@ -46,7 +53,10 @@ def _workloads():
 
 def invocations(work: Path) -> dict[str, list[str]]:
     """Key -> argv; scenario documents are written under work."""
-    out = {f"table1/{fmt}": ["table1", "--format", fmt] for fmt in FORMATS}
+    out = {}
+    for fmt in FORMATS:
+        out[f"table1/{fmt}"] = ["table1", "--format", fmt]
+        out[f"sweep-N/{fmt}"] = [*SWEEP_N, "--format", fmt]
     for name, make in _workloads().items():
         for seed in SEEDS:
             for op in make(seed):
@@ -54,9 +64,15 @@ def invocations(work: Path) -> dict[str, list[str]]:
                     continue
                 path = work / f"{name}-{op.name}-{seed}.json"
                 path.write_text(json.dumps(op.doc))
-                for fmt in FORMATS:
-                    out[f"{name}/{op.name}/seed{seed}/{fmt}"] = [
-                        *op.argv, "--scenario", str(path), "--format", fmt]
+                runs = {op.name: op.argv}
+                if (name, op.name) in SWEPT:
+                    runs.update({f"{op.name}/sweep-{axis}":
+                                 ("sweep", "--axis", axis, "--grid", grid)
+                                 for axis, grid in SWEEP_GRIDS.items()})
+                for key, argv in runs.items():
+                    for fmt in FORMATS:
+                        out[f"{name}/{key}/seed{seed}/{fmt}"] = [
+                            *argv, "--scenario", str(path), "--format", fmt]
     return out
 
 

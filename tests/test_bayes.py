@@ -571,6 +571,76 @@ def test_guided_lookups_equal_np_interp_bit_for_bit(make, L):
             assert _same_bits(lookup(theta), np.interp(theta, s.knots, table))
 
 
+def _reference_tables(x):
+    """The sampler's tables by the plain construction (concatenate, np.roll,
+    np.append, n * irfft): grid, CDF, guide and slopes."""
+    r = _coherence_sums(x)
+    n = _phase_grid_size(len(r))
+    thetas = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+    p = np.clip(n * np.fft.irfft(r, n), 0.0, None) / (2.0 * np.pi)
+    masses = 0.5 * (p + np.roll(p, -1)) * (2.0 * np.pi / n)
+    cdf = np.concatenate(([0.0], np.cumsum(masses)))
+    cdf /= cdf[-1]
+    knots = np.concatenate((thetas, [2.0 * np.pi]))
+    counts = np.bincount((cdf * ((len(cdf) - 1) / cdf[-1])).astype(np.intp))
+    guide = np.maximum(np.cumsum(counts) - counts - 1, 0)
+    dx = np.diff(cdf)
+    slopes = np.zeros(len(cdf))
+    np.divide(np.diff(knots), dx, out=slopes[:-1], where=dx > 0)
+    return {"thetas": thetas, "knots": knots, "cdf": cdf, "guide": guide,
+            "slopes": slopes}
+
+
+def _reference_posterior_table(x, n, prior, tg):
+    r = _coherence_sums(x)
+    d = np.arange(len(r))
+    a = r * np.exp(-1j * d * tg * prior.mean - 0.5 * (d * tg * prior.width) ** 2)
+    table = (n * np.fft.irfft(a * (prior.mean - 1j * d * tg * prior.width ** 2), n)
+             / (n * np.fft.irfft(a, n)))
+    return np.append(table, table[0])
+
+
+@pytest.mark.parametrize("L", [1, 2, 16, 17, 1024, 4096])
+def test_sampler_tables_equal_the_plain_construction_bytewise(L):
+    """Tables built in place hold the bytes of the plain construction, and so
+    do seeded draws and posterior-mean tables."""
+    rng = np.random.default_rng(L)
+    c = rng.normal(size=L) + 1j * rng.normal(size=L)
+    inputs = [c / np.linalg.norm(c)] + ([berry_wiseman_probe(L).vector] if L > 1 else [])
+    for x in inputs:
+        want = _reference_tables(x)
+        s = CanonicalSampler(x)
+        got = {"thetas": s.thetas, "knots": s.knots, "cdf": s._cdf,
+               "guide": s._inverse_cdf._guide, "slopes": s._inverse_cdf._slopes}
+        for name, table in want.items():
+            assert got[name].dtype == table.dtype, name
+            assert got[name].tobytes() == table.tobytes(), name
+        u = np.random.default_rng(7).random(4099)
+        want_draws = bayes._mod_2pi(np.interp(u, want["cdf"], want["knots"]) + 0.4)
+        assert s.sample(np.random.default_rng(7), 4099, 0.4).tobytes() == want_draws.tobytes()
+        for mean in (0.0, 0.3):
+            prior = GaussianPrior(0.8, mean)
+            table = s.posterior_mean_table(prior, 1.1)
+            assert table.tobytes() == _reference_posterior_table(
+                x, len(s.thetas), prior, 1.1).tobytes()
+
+
+def test_sampler_keeps_one_copy_of_each_grid_array():
+    """At L = 4096 (2^16 grid points, 0.5 MiB per float array) the build
+    forms its temporaries in place and keeps four grid-length arrays."""
+    probe = berry_wiseman_probe(4096)
+    tracemalloc.start()
+    try:
+        s = CanonicalSampler(probe)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.5 * 2 ** 20
+    assert kept < 2.5 * 2 ** 20
+    assert np.shares_memory(s.thetas, s.knots)
+    assert np.shares_memory(s._cdf, s._inverse_cdf._xp)
+
+
 def test_guided_lookup_keeps_np_interp_end_cases():
     """Repeated knots, -0.0 values, overflowing slopes and infinite values
     take np.interp's own branches: fp at an exact knot, and its NaN retry."""

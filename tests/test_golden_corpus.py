@@ -13,7 +13,8 @@ import golden_corpus
 
 def test_workload_outputs_match_the_golden_corpus():
     stored = golden_corpus.load()
-    assert len(stored["digests"]) == 112  # 11 operations x 5 seeds x 2 formats + table1
+    # 11 operations and 4 sweeps x 5 seeds x 2 formats, table1 and sweep --axis N
+    assert len(stored["digests"]) == 154
     assert golden_corpus.mismatches(stored, golden_corpus.compute()) == []
 
 

@@ -122,6 +122,17 @@ def test_box_muller_matches_the_normal_law():
     assert ks <= 1.628 / math.sqrt(n)  # Kolmogorov distribution, 1 % point
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4095, 4096])
+def test_box_muller_equals_its_plain_expression_bit_for_bit(n):
+    """The in-place passes give the bytes of the plain Box-Muller expression."""
+    u = _stream(4, 9).random(2 * ((n + 1) // 2))
+    m = len(u) // 2
+    r = np.sqrt(-2.0 * np.log1p(-u[:m]))
+    angle = 2.0 * np.pi * u[m:]
+    want = 0.3 + 1.7 * np.concatenate((r * np.cos(angle), r * np.sin(angle)))[:n]
+    assert _stream(4, 9).normal(0.3, 1.7, n).tobytes() == want.tobytes()
+
+
 def test_box_muller_odd_count_and_zero_draw():
     assert _stream(0, 0).normal(0.0, 1.0, 7).shape == (7,)
     s = montecarlo._SplitMix64(0, 1)
