@@ -487,6 +487,58 @@ class _GuidedInterp:
         return out
 
 
+class _UniformInterp:
+    """np.interp over uniform knots xp = linspace(0, xp[-1], n + 1) and values fp, bit for bit.
+
+    x lies in [0, xp[-1]]. The lookup keeps fp and reads xp, copying
+    neither and building no table. Knot j lies within a few ulps of
+    j xp[-1] / n, so the bucket j = int(x n / xp[-1]), capped at n - 1,
+    is the knot with xp[j] <= x < xp[j + 1] for every x but those within
+    rounding of a knot, and x = xp[-1]; np.interp itself places those
+    few. The value is np.interp's own expression, slope (x - xp_j) + fp_j,
+    with its slope (fp_{j+1} - fp_j) / (xp_{j+1} - xp_j) formed on the fly
+    in the same bits. As in _GuidedInterp, fp holding -0.0 or a slope
+    that may not be finite sends the whole call to np.interp: every knot
+    interval is above half the mean one, so each slope is below
+    4 max|fp| n / xp[-1], and that bound must be finite. Its factor
+    4 max|fp|, formed first, also keeps the differences of fp finite
+    where n / xp[-1] is small.
+    """
+
+    def __init__(self, xp: np.ndarray, fp: np.ndarray):
+        self._xp, self._fp = xp, fp
+        self._last = len(xp) - 2  # the last knot interval
+        self._scale = (len(xp) - 1) / float(xp[-1])
+        # NaN in fp makes both extremes NaN, and the bound with them
+        bound = 4.0 * max(float(fp.max()), -float(fp.min())) * self._scale
+        self._plain = bool(math.isfinite(bound)
+                           and not np.signbit(fp[fp == 0.0]).any())
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        xp, fp = self._xp, self._fp
+        if not self._plain:
+            return np.interp(x, xp, fp)
+        j = np.multiply(x, self._scale, casting="unsafe",
+                        out=np.empty(x.shape, np.intp))
+        np.minimum(j, self._last, out=j)
+        lo = xp.take(j)
+        f0 = fp.take(j)
+        j += 1
+        hi = xp.take(j)
+        out = fp.take(j)
+        off = lo > x
+        off |= hi <= x
+        hi -= lo
+        out -= f0
+        out /= hi
+        np.subtract(x, lo, out=lo)
+        out *= lo
+        out += f0
+        if off.any():
+            out[off] = np.interp(x[off], xp, fp)
+        return out
+
+
 class CanonicalSampler:
     """The canonical phase measurement on one input: draws and posterior table.
 

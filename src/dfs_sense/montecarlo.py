@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from .bayes import (CanonicalSampler, FlatPrior, GaussianPrior, _GuidedInterp,
+from .bayes import (CanonicalSampler, FlatPrior, GaussianPrior, _UniformInterp,
                     _moments, empirical_holevo, wrap_pi)
 from .config import TIME_SLACK
 from .control import EffectiveSpectrum
@@ -365,6 +365,10 @@ def run_estimation_trials(probe_or_rho, spectrum: EffectiveSpectrum,
                          "in one phase period")
     sampler = _sampler(probe_or_rho, spectrum)
     tg = t * g
+    step = max(1, _DRAW_BLOCK // nu)
+    if nu > 1:
+        # e^{i y} of every row block of the run, formed in place
+        z = np.empty((min(step, _CHUNK, trials), nu), dtype=complex)
 
     def shots(rng, size):
         """Circular-mean residuals of size trials.
@@ -375,10 +379,12 @@ def run_estimation_trials(probe_or_rho, spectrum: EffectiveSpectrum,
         if nu == 1:
             return wrap_pi(sampler.sample(rng, size))
         resid = np.empty(size)
-        step = max(1, _DRAW_BLOCK // nu)
         for i in range(0, size, step):
             y = sampler.sample(rng, (min(step, size - i), nu))
-            resid[i:i + len(y)] = np.angle(np.exp(1j * y).sum(axis=1))
+            zy = z[:len(y)]
+            np.multiply(y, 1j, out=zy)
+            np.exp(zy, out=zy)
+            resid[i:i + len(y)] = np.angle(zy.sum(axis=1))
         return resid
 
     def chunk_fn(rng, size):
@@ -410,9 +416,10 @@ def simulate_fixed_time(probe_or_rho, spectrum: EffectiveSpectrum,
     sampler = _sampler(probe_or_rho, spectrum)
     tg = t * spectrum.gap
     # the table ends at the wrap point 2 pi with its first value, so theta in
-    # [0, 2 pi], 2 pi included, needs no periodic wrap
-    posterior_mean = _GuidedInterp(sampler.knots,
-                                   sampler.posterior_mean_table(prior, tg))
+    # [0, 2 pi], 2 pi included, needs no periodic wrap; the lookup keeps the
+    # table alone and reads the sampler's knots
+    posterior_mean = _UniformInterp(sampler.knots,
+                                    sampler.posterior_mean_table(prior, tg))
 
     def chunk_fn(rng, size):
         omega = rng.normal(prior.mean, prior.width, size)

@@ -33,7 +33,8 @@ import numpy as np
 from .config import PREDICTED_LEVEL_CAP, PROFILE_INVERSE_RTOL
 from .control import EffectiveSpectrum, _check_guard, _reachable_sums
 from .errors import TooLarge, Unreachable
-from .fields import Number, NoiseModel, SensorArray, SpatialField, _numbers
+from .fields import (Number, NoiseModel, SensorArray, SpatialField, _exactable,
+                     _numbers)
 from .records import record
 
 
@@ -78,14 +79,33 @@ class PlacementPlan:
     def uniform_noise(self) -> NoiseModel:
         return NoiseModel((SpatialField((1,) * self.J, label="noise:0"),))
 
-    def predicted_levels(self) -> tuple[Number, ...]:
-        """The closed-form level ladder (exact), at most PREDICTED_LEVEL_CAP levels."""
+    def _ladder(self) -> tuple[Number, Number, int]:
+        """(lowest level, gap, level count), at most PREDICTED_LEVEL_CAP levels."""
         if self.predicted_level_count > PREDICTED_LEVEL_CAP:
             raise TooLarge(f"{self.predicted_level_count} levels exceed the "
                            f"explicit cap {PREDICTED_LEVEL_CAP}")
-        lo = -self.predicted_range / 2
-        gap = self.predicted_gap
-        return tuple(lo + k * gap for k in range(self.predicted_level_count))
+        return -self.predicted_range / 2, self.predicted_gap, self.predicted_level_count
+
+    def predicted_levels(self) -> tuple[Number, ...]:
+        """The closed-form level ladder (exact), at most PREDICTED_LEVEL_CAP levels."""
+        lo, gap, count = self._ladder()
+        return tuple(lo + k * gap for k in range(count))
+
+    def scaled_levels(self, a: float) -> tuple[float, ...]:
+        """a * float(v) for each v of predicted_levels(), bit for bit.
+
+        Exact level k is (A + k B) / D over the integers of lo = A / D and
+        gap = B / D, and Python's int division rounds correctly, as
+        float(Fraction) does, so no Fraction is formed. Float plans scale
+        their own levels.
+        """
+        lo, gap, count = self._ladder()
+        if not _exactable(lo, gap):
+            return tuple(a * float(v) for v in self.predicted_levels())
+        d = math.lcm(lo.denominator, gap.denominator)
+        num = lo.numerator * (d // lo.denominator)
+        step = gap.numerator * (d // gap.denominator)
+        return tuple(a * ((num + k * step) / d) for k in range(count))
 
     def enumerate_levels(self) -> tuple[Number, ...]:
         """The exact level set over the plan's protected domain.

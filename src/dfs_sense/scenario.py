@@ -404,8 +404,7 @@ def build_scenario(scenario: Scenario) -> BuiltScenario:
 
     if (plan is not None and scenario.signal.profile == "gradient"
             and all(len(set(f.values)) == 1 for f in noise_fields)):
-        a = abs(scenario.signal.amplitude)
-        levels = tuple(a * float(v) for v in plan.predicted_levels())
+        levels = plan.scaled_levels(abs(scenario.signal.amplitude))
         spectrum = EffectiveSpectrum.from_levels(levels)
     else:
         spectrum = protected_spectrum(array, noise, signal, f_perp)

@@ -1,7 +1,7 @@
 """Golden corpus: a sha256 digest of every benchmark workload's CLI output.
 
     python3 tests/golden_corpus.py            # recompute and compare
-    python3 tests/golden_corpus.py --write    # regenerate golden_corpus.json
+    python3 tests/golden_corpus.py --write    # regenerate both stored files
 
 The invocations are the distinct CLI operations of perfbench/workloads.py
 (its scenario documents, read as they are) at seeds 0-4, each with
@@ -13,6 +13,10 @@ reads no scenario) once per format. Each runs in this process through
 stderr. Operations that re-run another one's argv
 (``same_as``) and library calls (``placement``) are left out.
 
+Beside the digests, golden_corpus_outputs.json.xz keeps every
+invocation's output itself, lzma-compressed (about 40 kB), so that a
+mismatch prints a unified diff of the first differing invocation.
+
 The digests depend on numpy's floating point (eigh, FFT and the BLAS
 beneath them), so the map records the numpy version it was made with; a
 different version fails the comparison with that message. A change that
@@ -23,9 +27,11 @@ names what moved.
 from __future__ import annotations
 
 import contextlib
+import difflib
 import hashlib
 import io
 import json
+import lzma
 import sys
 import tempfile
 from pathlib import Path
@@ -34,6 +40,7 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 MAP_PATH = Path(__file__).resolve().parent / "golden_corpus.json"
+OUTPUTS_PATH = MAP_PATH.with_name("golden_corpus_outputs.json.xz")
 SEEDS = range(5)
 FORMATS = ("csv", "json")
 # the L and Delta sweeps run on mc-narrow's flat and fixed-time documents
@@ -95,17 +102,39 @@ def digest(code: int, stdout: str, stderr: str) -> str:
 
 
 def compute(keys=None, run=None) -> dict:
-    """The corpus map, over keys (default every invocation)."""
+    """The corpus map over keys (default every invocation), with each
+    invocation's [exit code, stdout, stderr] under "outputs"."""
     run = run or capture
     with tempfile.TemporaryDirectory() as tmp:
         todo = invocations(Path(tmp))
-        digests = {key: digest(*run(argv)) for key, argv in todo.items()
+        outputs = {key: list(run(argv)) for key, argv in todo.items()
                    if keys is None or key in keys}
-    return {"numpy": np.__version__, "digests": digests}
+    return {"numpy": np.__version__,
+            "digests": {key: digest(*out) for key, out in outputs.items()},
+            "outputs": outputs}
 
 
 def load() -> dict:
     return json.loads(MAP_PATH.read_text())
+
+
+def load_outputs() -> dict:
+    return json.loads(lzma.decompress(OUTPUTS_PATH.read_bytes()))
+
+
+def diff(key: str, stored_outputs: dict, computed: dict) -> str:
+    """Unified diff of the stored and computed output of one invocation
+    (exit code, then stdout, then stderr); a side without the key is empty."""
+    def lines(out):
+        if out is None:
+            return []
+        code, stdout, stderr = out
+        return [f"exit code {code}\n", *stdout.splitlines(True),
+                "-- stderr --\n", *stderr.splitlines(True)]
+
+    return "".join(difflib.unified_diff(
+        lines(stored_outputs.get(key)), lines(computed["outputs"].get(key)),
+        f"stored/{key}", f"computed/{key}"))
 
 
 def mismatches(stored: dict, computed: dict) -> list[str]:
@@ -127,12 +156,18 @@ def main(argv: list[str]) -> int:
         return 2
     computed = compute()
     if argv:
+        outputs = computed.pop("outputs")
         MAP_PATH.write_text(json.dumps(computed, indent=1, sort_keys=True) + "\n")
-        print(f"wrote {len(computed['digests'])} digests to {MAP_PATH}")
+        OUTPUTS_PATH.write_bytes(lzma.compress(
+            json.dumps(outputs, indent=0, sort_keys=True).encode()))
+        print(f"wrote {len(computed['digests'])} digests to {MAP_PATH} "
+              f"and their outputs to {OUTPUTS_PATH}")
         return 0
     bad = mismatches(load(), computed)
     for key in bad:
         print(f"differs: {key}")
+    if bad:
+        print(diff(bad[0], load_outputs(), computed), end="")
     print(f"{len(computed['digests']) - len(bad)} of "
           f"{len(computed['digests'])} digests match")
     return 1 if bad else 0

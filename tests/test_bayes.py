@@ -548,8 +548,9 @@ def _cdf_inputs(cdf, rng) -> list[np.ndarray]:
 @pytest.mark.parametrize("make", [berry_wiseman_probe, ghz_probe, uniform_probe])
 @pytest.mark.parametrize("L", [2, 3, 16, 1024, 4096])
 def test_guided_lookups_equal_np_interp_bit_for_bit(make, L):
-    """The sampler's inverse CDF and the fixed-time posterior-mean lookup are
-    np.interp on the same knots, compared as int64 bit patterns."""
+    """The sampler's inverse CDF and the fixed-time posterior-mean lookup
+    (_UniformInterp on the sampler's knots) are np.interp on the same knots,
+    compared as int64 bit patterns."""
     rng = np.random.default_rng(L)
     s = CanonicalSampler(make(L))
     for u in _cdf_inputs(s._cdf, rng):
@@ -560,7 +561,7 @@ def test_guided_lookups_equal_np_interp_bit_for_bit(make, L):
                                        s._cdf, s.knots), 2 * np.pi))
     for mean, width, tg in ((0.0, 1.0, 0.3), (0.7, 0.05, 2.0)):
         table = s.posterior_mean_table(GaussianPrior(width, mean), tg)
-        lookup = bayes._GuidedInterp(s.knots, table)
+        lookup = bayes._UniformInterp(s.knots, table)
         two_pi = 2 * np.pi
         y = rng.random(50_000) * two_pi
         wraps = np.mod(np.array([-1e-17, -1e-16, -4e-16, -0.0, two_pi, 3 * two_pi]), two_pi)
@@ -655,6 +656,82 @@ def test_guided_lookup_keeps_np_interp_end_cases():
         fp[-1] = np.nan
         assert np.array_equal(bayes._GuidedInterp(xp, fp)(x), np.interp(x, xp, fp),
                               equal_nan=True)
+
+
+@pytest.mark.parametrize("mean", [0.0, 0.3])
+@pytest.mark.parametrize("L", [2, 16, 1024, 4096])
+def test_uniform_lookup_equals_np_interp_bit_for_bit(L, mean):
+    """The posterior-mean lookup on the sampler's own knots: every knot and
+    both its float neighbours, 0, 2 pi (np.mod's exact 2 pi included) and
+    random points give np.interp's bits, on the bucket path."""
+    s = CanonicalSampler(berry_wiseman_probe(L))
+    knots = s.knots
+    table = s.posterior_mean_table(GaussianPrior(0.6, mean), 1.7)
+    lookup = bayes._UniformInterp(knots, table)
+    assert lookup._plain
+    two_pi = 2 * np.pi
+    rng = np.random.default_rng(L)
+    for x in (knots, np.nextafter(knots[1:], 0.0), np.nextafter(knots[:-1], 7.0),
+              np.array([0.0, two_pi, np.mod(-1e-17, two_pi)]),
+              rng.random(20_000) * two_pi,
+              np.mod(rng.normal(0.0, 50.0, 20_000), two_pi)):
+        assert _same_bits(lookup(x), np.interp(x, knots, table))
+
+
+def test_uniform_lookup_hands_signed_zero_and_unbounded_slopes_to_np_interp():
+    """A table holding -0.0, an infinity, a NaN or values whose slopes may
+    overflow goes to np.interp whole, whose end cases the lookup's
+    expression would miss; a bounded table stays on the bucket path."""
+    knots = np.linspace(0.0, 2 * np.pi, 65)
+    x = np.concatenate((knots, np.nextafter(knots[1:], 0.0),
+                        np.nextafter(knots[:-1], 7.0),
+                        np.random.default_rng(0).random(5000) * 2 * np.pi))
+    base = np.sin(3.0 * knots)
+    for where, value, plain in ((0, 1.0, True), (5, -0.0, False), (5, 0.0, True),
+                                (9, np.inf, False), (64, -np.inf, False),
+                                (9, np.nan, False), (9, 1e308, False), (9, 1e306, True),
+                                (9, -1e300, True)):
+        fp = base.copy()
+        fp[where] = value
+        lookup = bayes._UniformInterp(knots, fp)
+        assert lookup._plain == plain, (where, value)
+        with np.errstate(all="ignore"):
+            assert np.array_equal(lookup(x), np.interp(x, knots, fp), equal_nan=True)
+            assert _same_bits(np.nan_to_num(lookup(x)),
+                              np.nan_to_num(np.interp(x, knots, fp)))
+    # on three knots n / 2 pi is below 1/2, so a bound with that factor
+    # formed first would stay finite while the differences of fp overflow
+    knots = np.linspace(0.0, 2 * np.pi, 3)
+    fp = np.array([1e308, -1e308, 1e308])
+    lookup = bayes._UniformInterp(knots, fp)
+    assert not lookup._plain
+    x = np.array([0.0, 1.0, np.pi, 5.0, 2 * np.pi])
+    with np.errstate(all="ignore"):
+        assert _same_bits(lookup(x), np.interp(x, knots, fp))
+
+
+def test_uniform_lookup_keeps_the_table_alone():
+    """At L = 4096 (2^16 knots, 0.5 MiB per float array) building the lookup
+    allocates under one (n + 1) float array and keeps nothing: it reads the
+    sampler's knots and the table it is given, where _GuidedInterp keeps a
+    padded copy of the knots, a guide and slopes."""
+    s = CanonicalSampler(berry_wiseman_probe(4096))
+    table = s.posterior_mean_table(GaussianPrior(0.6, 0.3), 1.7)
+    grid_array = 8 * len(s.knots)
+    tracemalloc.start()
+    try:
+        lookup = bayes._UniformInterp(s.knots, table)
+        kept, peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        guided = bayes._GuidedInterp(s.knots, table)
+        guided_kept = tracemalloc.get_traced_memory()[0] - kept
+    finally:
+        tracemalloc.stop()
+    assert peak <= grid_array
+    assert kept < 4096
+    assert guided_kept > 3 * grid_array
+    assert lookup._xp is s.knots and lookup._fp is table
+    assert not np.shares_memory(guided._xp, s.knots)
 
 
 @pytest.mark.parametrize("mixed", [False, True])

@@ -84,6 +84,30 @@ def test_predicted_levels_cap():
         exponential_placement(50)
 
 
+@pytest.mark.parametrize("plan", [
+    *(two_point_placement(N) for N in (2, 30, 100)),
+    *(linear_placement(N) for N in (2, 4, 40, 64)),
+    *(exponential_placement(N) for N in (2, 8, 20, 24)),
+    arbitrary_linear_placement(lambda r: r ** -3.0, lambda f: f ** (-1.0 / 3.0),
+                               N=6, a=Fraction(1, 2), b=1),
+    arbitrary_linear_placement(math.tanh, None, N=8, a=0.37, bracket=(-5.0, 5.0)),
+    arbitrary_exponential_placement(lambda r: math.exp(-r), lambda f: -math.log(f),
+                                    f_max=1.0, f_min=0.25, N=6),
+], ids=lambda p: f"{p.family}-{p.N}")
+def test_scaled_levels_equal_the_float_of_each_exact_level(plan):
+    """The integer-division ladder holds the bits of a * float(v) over the
+    exact predicted levels, for exact and float plans alike."""
+    for a in (1.0, 0.3, 2.7, 1e-3, 12345.678, 1e-300):
+        want = [a * float(v) for v in plan.predicted_levels()]
+        got = plan.scaled_levels(a)
+        assert [x.hex() for x in got] == [x.hex() for x in want], a
+
+
+def test_scaled_levels_cap():
+    with pytest.raises(TooLarge, match="explicit cap 65536"):
+        exponential_placement(40).scaled_levels(1.0)
+
+
 # --------------------------------------------------------------- round trip
 
 def test_plan_integrates_with_field_layer():
