@@ -10,11 +10,10 @@ together behind a JSON schema, and cli exposes them as subcommands.
 """
 
 from .bayes import (AveragedState, CanonicalSampler, FlatPrior, GaussianPrior,
-                    ProbeState, analytic_sharpness, averaged_state,
-                    berry_wiseman_probe, canonical_phase_density,
-                    empirical_holevo, evolve, ghz_probe, holevo_variance,
-                    qfi_mixed, qfi_pure, uniform_probe, variance_reduction,
-                    wrap_pi)
+                    ProbeState, averaged_state, berry_wiseman_probe,
+                    canonical_phase_density, empirical_holevo, evolve,
+                    ghz_probe, holevo_variance, qfi_mixed, qfi_pure,
+                    uniform_probe, variance_reduction, wrap_pi)
 from .control import (EffectiveSpectrum, FlipSchedule, SpinConfig,
                       enumerate_dfs_configs, equalize_multidim,
                       flip_schedule_for, protected_spectrum,

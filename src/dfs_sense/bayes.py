@@ -618,22 +618,19 @@ class CanonicalSampler:
         return table
 
 
-def analytic_sharpness(amplitudes_or_rho) -> float:
-    """|sum_mu <mu+1| . |mu>| adjacent-coherence magnitude on a unit-index ladder."""
-    x = np.asarray(amplitudes_or_rho, dtype=complex)
-    if x.ndim == 1:
-        return float(abs(np.sum(x.conj()[:-1] * x[1:])))
-    return float(abs(np.trace(x, offset=-1)))
-
-
 def holevo_variance(amplitudes_or_rho) -> float:
     """Circular spread measure S^-2 - 1 of the canonical measurement.
 
-    S is the adjacent-level sharpness, exact on a unit-gap ladder; sampled
+    S = |sum_mu rho[mu+1, mu]| is the adjacent-level sharpness (for a pure
+    c, |sum_mu conj(c_mu) c_{mu+1}|), exact on a unit-gap ladder; sampled
     residuals go through empirical_holevo. Zero sharpness returns inf
     (flagged, not raised).
     """
-    s = analytic_sharpness(amplitudes_or_rho)
+    x = np.asarray(amplitudes_or_rho, dtype=complex)
+    if x.ndim == 1:
+        s = float(abs(np.sum(x.conj()[:-1] * x[1:])))
+    else:
+        s = float(abs(np.trace(x, offset=-1)))
     if s == 0.0:
         return math.inf
     return 1.0 / (s * s) - 1.0

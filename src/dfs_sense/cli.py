@@ -8,7 +8,9 @@ produced it.
 
 Exit codes: 0 success; 2 malformed scenario, usage or an --out path that
 cannot be written; 3 infeasible request (no protected signal, insufficient
-time, unreachable target, oversize enumeration); 4 numeric failure.
+time, unreachable target, oversize enumeration); 4 numeric failure
+(arithmetic overflow or division by zero included, and any result that is
+not finite).
 """
 
 from __future__ import annotations
@@ -24,9 +26,9 @@ import numpy as np
 
 from .control import EffectiveSpectrum, protected_spectrum
 from .control import enumerate_dfs_configs  # noqa: F401  perfbench/child.py wraps this name
-from .errors import (Degenerate, InsufficientTime, InvalidState,
-                     NoSignalComponent, NotLinear, NumericFailure,
-                     ScenarioError, TooLarge, Unreachable)
+from .errors import (Degenerate, DfsSenseError, InsufficientTime,
+                     InvalidState, NoSignalComponent, NotLinear,
+                     NumericFailure, ScenarioError, TooLarge, Unreachable)
 from .montecarlo import (MIN_TRIALS, SEED_BOUND, dephase_coherence,
                          mc_dephase_check)
 from .placement import table_rows
@@ -36,7 +38,7 @@ from .scenario import build_scenario, load_scenario, run_scenario
 
 _INFEASIBLE = (NoSignalComponent, InsufficientTime, Unreachable, TooLarge,
                Degenerate, NotLinear, ValueError)
-_NUMERIC = (NumericFailure, InvalidState)
+_NUMERIC = (NumericFailure, InvalidState, ArithmeticError)
 
 
 def _fmt(v) -> str:
@@ -82,6 +84,18 @@ def _emit(payload: dict, args) -> int:
         print(f"cannot write output file: {e}", file=sys.stderr)
         return 2
     return 0
+
+
+def _check_finite(obj, path: str) -> None:
+    """NumericFailure naming the first float in a payload that is not finite."""
+    if isinstance(obj, dict):
+        for k, v in obj.items():
+            _check_finite(v, f"{path}.{k}")
+    elif isinstance(obj, (list, tuple)):
+        for i, v in enumerate(obj):
+            _check_finite(v, f"{path}[{i}]")
+    elif isinstance(obj, (float, np.floating)) and not math.isfinite(obj):
+        raise NumericFailure(f"{path} is {obj}")
 
 
 def _require_scenario(args):
@@ -454,12 +468,18 @@ def main(argv=None) -> int:
     Every object alive at entry (the imported modules) moves to the
     collector's permanent generation, so neither this run's collections nor
     the interpreter's passes at exit walk it again; objects the run creates
-    stay collectable and the collector stays enabled."""
+    stay collectable and the collector stays enabled.
+
+    numpy's floating-point warnings are off while the command runs: a
+    number that overflows to a non-finite result fails the payload check
+    instead (exit 4), and one that ends finite is not an error."""
     gc.freeze()
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        payload = args.func(args)
+        with np.errstate(all="ignore"):
+            payload = args.func(args)
+        _check_finite(payload, "result")
     except ScenarioError as e:
         print(f"scenario error: {e}", file=sys.stderr)
         return 2
@@ -467,7 +487,9 @@ def main(argv=None) -> int:
         print(f"infeasible: {e}", file=sys.stderr)
         return 3
     except _NUMERIC as e:
-        print(f"numeric failure: {e}", file=sys.stderr)
+        # Python's own arithmetic errors say little without their class name
+        what = e if isinstance(e, DfsSenseError) else f"{type(e).__name__}: {e}"
+        print(f"numeric failure: {what}", file=sys.stderr)
         return 4
     return _emit(payload, args)
 

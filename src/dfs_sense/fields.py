@@ -9,7 +9,7 @@ every noise profile keep their mutual coherence under collective dephasing.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -82,10 +82,6 @@ class SensorArray:
 
     def max_spins(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(n - 1, 2) for n in self.quanta_per_site)
-
-    @classmethod
-    def qubits(cls, positions: Sequence[Number]) -> "SensorArray":
-        return cls(tuple(positions), (2,) * len(positions))
 
 
 @record

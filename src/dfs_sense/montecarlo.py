@@ -27,9 +27,9 @@ from .bayes import (CanonicalSampler, FlatPrior, GaussianPrior, _UniformInterp,
                     _moments, empirical_holevo, wrap_pi)
 from .config import TIME_SLACK
 from .control import EffectiveSpectrum
-from .errors import InsufficientTime
+from .errors import InsufficientTime, NumericFailure
 from .fields import _orthogonal
-from .records import factory, record
+from .records import record
 
 _CHUNK = 4096
 _MASK64 = (1 << 64) - 1
@@ -177,10 +177,18 @@ def _run_chunked(trials: int, seed: int, chunk_fn):
 # dephasing
 # ---------------------------------------------------------------------------
 
+def _gaussian_damping(x: float) -> float:
+    """exp(-x^2 / 2), and 0.0 (fully damped) where x^2 overflows."""
+    try:
+        return math.exp(-0.5 * x ** 2)
+    except OverflowError:
+        return 0.0
+
+
 # phase law per kind: (E[cos(chi a)] at x = sigma a, n draws of chi at sigma);
 # "gaussian" has std sigma, "uniform" is uniform on [-pi sigma, pi sigma]
 PHASE_LAWS = {
-    "gaussian": (lambda x: math.exp(-0.5 * x ** 2),
+    "gaussian": (_gaussian_damping,
                  lambda rng, sig, n: rng.normal(0.0, sig, n)),
     "uniform": (lambda x: float(np.sinc(x)),
                 lambda rng, sig, n: rng.uniform(-math.pi * sig, math.pi * sig, n)),
@@ -302,8 +310,8 @@ class EstimationSummary:
     ci_high: float
     holevo: float
     holevo_stderr: float
-    nu: int = 1
-    extra: dict = factory(dict)
+    nu: int
+    extra: dict
 
     def to_dict(self) -> dict:
         d = {
@@ -366,25 +374,31 @@ def run_estimation_trials(probe_or_rho, spectrum: EffectiveSpectrum,
     sampler = _sampler(probe_or_rho, spectrum)
     tg = t * g
     step = max(1, _DRAW_BLOCK // nu)
-    if nu > 1:
-        # e^{i y} of every row block of the run, formed in place
-        z = np.empty((min(step, _CHUNK, trials), nu), dtype=complex)
+    cols = min(nu, _DRAW_BLOCK)
+    # e^{i y} of every block of the run, formed in place
+    z = np.empty((min(step, _CHUNK, trials), cols), dtype=complex) if nu > 1 else None
 
     def shots(rng, size):
         """Circular-mean residuals of size trials.
 
-        The (size, nu) outcomes are drawn row-major in row blocks of at most
-        _DRAW_BLOCK outcomes: the stream is that of one (size, nu) draw.
+        The (size, nu) outcomes are drawn row-major in blocks of at most
+        _DRAW_BLOCK outcomes: whole rows, or, when nu exceeds _DRAW_BLOCK,
+        column blocks of one row, whose sums of e^{i y} add up in order.
+        The stream is that of one (size, nu) draw.
         """
         if nu == 1:
             return wrap_pi(sampler.sample(rng, size))
         resid = np.empty(size)
         for i in range(0, size, step):
-            y = sampler.sample(rng, (min(step, size - i), nu))
-            zy = z[:len(y)]
-            np.multiply(y, 1j, out=zy)
-            np.exp(zy, out=zy)
-            resid[i:i + len(y)] = np.angle(zy.sum(axis=1))
+            rows = min(step, size - i)
+            for c in range(0, nu, cols):  # one block unless step == 1
+                y = sampler.sample(rng, (rows, min(cols, nu - c)))
+                zy = z[:rows, :y.shape[1]]
+                np.multiply(y, 1j, out=zy)
+                np.exp(zy, out=zy)
+                part = zy.sum(axis=1)
+                total = part if c == 0 else total + part
+            resid[i:i + rows] = np.angle(total)
         return resid
 
     def chunk_fn(rng, size):
@@ -395,6 +409,7 @@ def run_estimation_trials(probe_or_rho, spectrum: EffectiveSpectrum,
         return err * err, np.cos(resid), np.sin(resid), resid ** 2
 
     stats = _run_chunked(trials, seed, chunk_fn)
+    del z  # the summary needs no outcome buffer
     extra = {"phase_mse": float(stats[1][3]), "window": 2 * np.pi / tg}
     return _summarize("single_shot_flat" if nu == 1 else "repeat", t, seed,
                       stats, nu, extra)
@@ -425,6 +440,8 @@ def simulate_fixed_time(probe_or_rho, spectrum: EffectiveSpectrum,
         omega = rng.normal(prior.mean, prior.width, size)
         y = sampler.sample(rng, size)
         theta = np.mod(y + omega * tg, 2.0 * np.pi)
+        if not np.isfinite(theta).all():
+            raise NumericFailure("outcome phase omega t g is not finite")
         err = posterior_mean(theta) - omega
         resid = wrap_pi(y)
         return err * err, np.cos(resid), np.sin(resid)

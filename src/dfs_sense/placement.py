@@ -33,8 +33,7 @@ import numpy as np
 from .config import PREDICTED_LEVEL_CAP, PROFILE_INVERSE_RTOL
 from .control import EffectiveSpectrum, _check_guard, _reachable_sums
 from .errors import TooLarge, Unreachable
-from .fields import (Number, NoiseModel, SensorArray, SpatialField, _exactable,
-                     _numbers)
+from .fields import Number, SensorArray, _exactable, _numbers
 from .records import record
 
 
@@ -72,12 +71,6 @@ class PlacementPlan:
 
     def as_sensor_array(self) -> SensorArray:
         return SensorArray(self.positions, self.quanta_per_site)
-
-    def signal_field(self) -> SpatialField:
-        return SpatialField(self.signal_values, label="signal")
-
-    def uniform_noise(self) -> NoiseModel:
-        return NoiseModel((SpatialField((1,) * self.J, label="noise:0"),))
 
     def _ladder(self) -> tuple[Number, Number, int]:
         """(lowest level, gap, level count), at most PREDICTED_LEVEL_CAP levels."""

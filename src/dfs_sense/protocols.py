@@ -22,10 +22,10 @@ from .bayes import (FlatPrior, GaussianPrior, ProbeState, berry_wiseman_probe,
 from .config import (NORM_ATOL, REGIME_LARGE, REGIME_SMALL, SINE_BAND_HI, SINE_BAND_LO,
                      TIME_SLACK)
 from .control import EffectiveSpectrum
-from .errors import Degenerate, InsufficientTime
+from .errors import Degenerate, InsufficientTime, NumericFailure
 from .montecarlo import (EstimationSummary, run_estimation_trials,
                          simulate_adaptive, simulate_fixed_time)
-from .records import factory, record
+from .records import record
 
 
 @record
@@ -41,7 +41,7 @@ class Prediction:
 class ProtocolReport:
     kind: str
     predictions: tuple[Prediction, ...]
-    resources: dict = factory(dict)
+    resources: dict
     schedule: tuple[tuple[float, float], ...] | None = None
     regime: str | None = None
     recommendation: str | None = None
@@ -72,9 +72,12 @@ class ProtocolReport:
 
 
 def ghz_reduction(x) -> np.ndarray | float:
-    """Variance reduction of the extremal two-level probe: 1 - x^2 exp(-x^2)."""
+    """Variance reduction of the extremal two-level probe: 1 - x^2 exp(-x^2),
+    and 1.0 where x^2 overflows (exp(-x^2) is 0 long before)."""
     x = np.asarray(x, dtype=float)
-    out = 1.0 - x * x * np.exp(-(x * x))
+    with np.errstate(over="ignore", invalid="ignore"):
+        xx = x * x
+        out = np.where(np.isinf(xx), 1.0, 1.0 - xx * np.exp(-xx))
     return float(out) if out.ndim == 0 else out
 
 
@@ -186,6 +189,8 @@ def adaptive_schedule(spectrum: EffectiveSpectrum, prior: FlatPrior,
     """
     L, width, t1 = _flat_head(spectrum, prior)
     x = spectrum.Delta * width * total_time / math.pi
+    if not math.isfinite(x):
+        raise NumericFailure(f"Delta W0 T/pi = {x} is not finite")
     # strict comparison keeps W_n T Delta >= pi exact; a float boundary can
     # only round toward the conservative side
     factor = 2 * L

@@ -6,8 +6,7 @@ instead reads the annotated fields of a class once and installs the same
 shared functions on every record:
 
 - __init__ binds positional and keyword arguments to the fields in order,
-  fills defaults (a factory default calls its maker once per instance) and
-  then calls __post_init__ if the class defines one;
+  fills defaults and then calls __post_init__ if the class defines one;
 - assigning or deleting any attribute raises AttributeError; __post_init__
   sets derived values with object.__setattr__, as under dataclasses;
 - __eq__ compares the field tuples of two instances of the same class,
@@ -15,23 +14,14 @@ shared functions on every record:
   Name(field=value, ...) as dataclasses does.
 
 Not supported, and not used in this package: inheritance between records,
-dataclasses.field options other than default_factory, and the dataclasses
-helpers (fields, replace, asdict, is_dataclass) that read
-__dataclass_fields__.
+dataclasses.field options (a default is shared by every instance, so it
+should be immutable), and the dataclasses helpers (fields, replace,
+asdict, is_dataclass) that read __dataclass_fields__.
 """
 
 from __future__ import annotations
 
 from reprlib import recursive_repr
-
-
-class factory:
-    """A field default made fresh for each instance: factory(dict)."""
-
-    __slots__ = ("make",)
-
-    def __init__(self, make):
-        self.make = make
 
 
 _MISSING = object()
@@ -41,15 +31,9 @@ _set = object.__setattr__
 def record(cls):
     """Make cls a frozen record over its annotated fields, in order."""
     names = tuple(cls.__dict__.get("__annotations__", ()))
-    defaults = {}
-    for name in names:
-        value = cls.__dict__.get(name, _MISSING)
-        if value is not _MISSING:
-            defaults[name] = value
-            if isinstance(value, factory):
-                delattr(cls, name)
     cls.__record_fields__ = names
-    cls.__record_defaults__ = defaults
+    cls.__record_defaults__ = {name: cls.__dict__[name] for name in names
+                               if name in cls.__dict__}
     cls.__record_post_init__ = getattr(cls, "__post_init__", None)
     cls.__init__ = _init
     cls.__setattr__ = _setattr
@@ -94,7 +78,7 @@ def _bind(cls, args, kwargs) -> list:
         if default is _MISSING:
             missing.append(repr(name))
         else:
-            values.append(default.make() if isinstance(default, factory) else default)
+            values.append(default)
     if kwargs:
         raise TypeError(f"{where} got an unexpected keyword argument {next(iter(kwargs))!r}")
     if missing:

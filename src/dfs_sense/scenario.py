@@ -148,9 +148,6 @@ class Scenario:
             "trials": self.trials,
         }
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
-
 
 def _parse_array(doc, path: str) -> SensorArray | PlacementPlan:
     if not isinstance(doc, dict):

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from dfs_sense import (AveragedState, CanonicalSampler, Degenerate,
                        EffectiveSpectrum, FlatPrior, GaussianPrior,
-                       InvalidState, NotLinear, ProbeState, analytic_sharpness,
-                       averaged_state, berry_wiseman_probe,
+                       InvalidState, NotLinear, ProbeState, averaged_state,
+                       berry_wiseman_probe,
                        canonical_phase_density, empirical_holevo, evolve,
                        ghz_probe, holevo_variance, qfi_mixed, qfi_pure,
                        uniform_probe, variance_reduction, wrap_pi)
@@ -758,15 +758,9 @@ def test_posterior_mean_table_matches_quadrature(L, mixed):
 
 # ------------------------------------------------------------------- Holevo
 
-def test_sharpness_identity_sine_probe():
-    for L in (2, 5, 11, 31, 64):
-        s = analytic_sharpness(berry_wiseman_probe(L).vector)
-        assert s == pytest.approx(math.cos(math.pi / (L + 1)), abs=1e-14)
-
-
 def test_holevo_examples():
-    # sine probe: tan^2(pi/(L+1))
-    for L in (5, 11, 31):
+    # sine probe: sharpness cos(pi/(L+1)), so tan^2(pi/(L+1))
+    for L in (2, 5, 11, 31, 64):
         hv = holevo_variance(berry_wiseman_probe(L).vector)
         assert hv == pytest.approx(math.tan(math.pi / (L + 1)) ** 2, abs=1e-12)
     # extremal two-level probe: S = 1/2 -> (1 - 1/4)/(1/4) = 3
@@ -781,7 +775,6 @@ def test_ghz_sharpness_is_exactly_zero(L):
     sum gives exactly 0, so the Holevo variance is flagged inf."""
     v = ghz_probe(L).vector
     for x in (v, np.outer(v, v.conj())):
-        assert analytic_sharpness(x) == 0.0
         assert holevo_variance(x) == math.inf
 
 

@@ -201,7 +201,7 @@ def test_merge_levels_equals_loop_on_20_qubits():
 # -------------------------------------------------------------- enumeration
 
 def test_enumerate_uniform_noise_qubits():
-    arr = SensorArray.qubits((0.0, 1.0, 2.0, 3.0))
+    arr = SensorArray((0.0, 1.0, 2.0, 3.0), (2,) * 4)
     noise = NoiseModel((SpatialField((1.0, 1.0, 1.0, 1.0), label="noise:0"),))
     f = SpatialField((1.0, 2.0, 3.0, 4.0))
     anchor = SpinConfig((0.5, 0.5, -0.5, -0.5))
@@ -213,7 +213,7 @@ def test_enumerate_uniform_noise_qubits():
 
 
 def test_enumerate_guard_and_anchor_default(monkeypatch):
-    arr = SensorArray.qubits((0.0, 1.0))
+    arr = SensorArray((0.0, 1.0), (2, 2))
     noise = NoiseModel(())
     f = SpatialField((1.0, -2.0))
     out = enumerate_dfs_configs(arr, noise, f_perp=f)
@@ -228,7 +228,7 @@ def test_enumerate_guard_and_anchor_default(monkeypatch):
     # the guard bounds the size of the product each enumeration walks; it
     # fires before any work, so real sizes above 2^24 raise at once
     with pytest.raises(TooLarge, match="33554432 configurations exceed the guard 16777216"):
-        enumerate_dfs_configs(SensorArray.qubits(tuple(range(25))), noise,
+        enumerate_dfs_configs(SensorArray(tuple(range(25)), (2,) * 25), noise,
                               f_perp=SpatialField(tuple(range(1, 26))))
     with pytest.raises(TooLarge):
         linear_placement(26).enumerate_levels()              # 2^26 configurations

@@ -30,7 +30,6 @@ def test_site_ladders_exact():
     assert arr.site_spin_values(2) == (Fraction(-3, 2), Fraction(-1, 2),
                                        Fraction(1, 2), Fraction(3, 2))
     assert arr.total_configurations == 24
-    assert SensorArray.qubits((0.0, 0.5)).quanta_per_site == (2, 2)
 
 
 def test_spatial_field_validation():
@@ -136,7 +135,7 @@ def test_dfs_condition():
 
 
 def test_sample_field_and_gap():
-    arr = SensorArray.qubits((1.0, 2.0, 4.0))
+    arr = SensorArray((1.0, 2.0, 4.0), (2, 2, 2))
     f = sample_field(lambda r: 1.0 / r, arr)
     assert np.allclose(f.vector, [1.0, 0.5, 0.25])
     g = effective_signal_gap((0.5, 0.5, 0.5), (-0.5, 0.5, 0.5), f)

@@ -7,7 +7,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dfs_sense import (TooLarge, Unreachable, arbitrary_exponential_placement,
+from dfs_sense import (NoiseModel, SpatialField, TooLarge, Unreachable,
+                       arbitrary_exponential_placement,
                        arbitrary_linear_placement, exponential_placement,
                        linear_placement, table_rows, two_point_placement)
 
@@ -113,8 +114,8 @@ def test_scaled_levels_cap():
 def test_plan_integrates_with_field_layer():
     p = linear_placement(6)
     arr = p.as_sensor_array()
-    sig = p.signal_field()
-    noise = p.uniform_noise()
+    sig = SpatialField(p.signal_values)
+    noise = NoiseModel((SpatialField((1,) * p.J, label="noise:0"),))
     assert arr.J == 6 and sig.J == 6 and noise.K == 1
     # f_perp really is the mean-removed signal
     f = np.asarray([float(v) for v in p.f_perp_values])

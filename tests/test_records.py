@@ -7,23 +7,23 @@ from pathlib import Path
 
 import pytest
 
-from dfs_sense.records import factory, record
+from dfs_sense.records import record
 
 
 @record
 class Point:
-    """A record with a required field, a default and a factory default."""
+    """A record with a required field and two defaults."""
 
     x: float
     label: str = "p"
-    tags: dict = factory(dict)
+    tags: dict | None = None
 
 
 @dataclasses.dataclass(frozen=True)
 class PointTwin:
     x: float
     label: str = "p"
-    tags: dict = dataclasses.field(default_factory=dict)
+    tags: dict | None = None
 
 
 @record
@@ -101,9 +101,9 @@ def test_equality_and_hash_match_dataclass():
 
 def test_unhashable_field_raises_like_dataclass():
     with pytest.raises(TypeError):
-        hash(Point(1.0))
+        hash(Point(1.0, tags={}))
     with pytest.raises(TypeError):
-        hash(PointTwin(1.0))
+        hash(PointTwin(1.0, tags={}))
 
 
 def test_assignment_and_deletion_raise_attribute_error():
@@ -115,16 +115,6 @@ def test_assignment_and_deletion_raise_attribute_error():
         with pytest.raises(AttributeError, match="cannot delete field 'x'"):
             del obj.x
         assert obj.x == 1.0
-
-
-def test_factory_default_is_fresh_per_instance():
-    a, b = Point(1.0), Point(2.0)
-    assert a.tags == {} and a.tags is not b.tags
-    a.tags["k"] = 1
-    assert b.tags == {} and Point(3.0).tags == {}
-    # the class keeps no shared default, as with default_factory
-    assert "tags" not in Point.__dict__ and "tags" not in PointTwin.__dict__
-    assert Point.label == PointTwin.label == "p"
 
 
 @pytest.mark.parametrize("args,kwargs", [
